@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.profiling import active
+
 __all__ = [
     "CrashWindow",
     "ShardChaos",
@@ -121,7 +123,8 @@ def remap_fractions(base_ring, diverted_names) -> dict:
     — survivors keep their own partitions (the <2/N bound), so a donor's
     keyspace spreads across the ring instead of doubling one victim.
     """
-    sub = base_ring.without(*diverted_names)
+    with active().scope("fleet.plan.ring"):
+        sub = base_ring.without(*diverted_names)
     owner_base = base_ring.owner_of_partition
     owner_sub = sub.owner_of_partition
     fractions: dict[str, tuple] = {}

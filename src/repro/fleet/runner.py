@@ -49,6 +49,7 @@ from repro.fleet.topology import FleetConfig, FleetTopology
 from repro.obs.profiling import (
     WallTimer,
     activation,
+    active,
     make_profiler,
     merge_profiles,
     worker_summary,
@@ -61,7 +62,9 @@ def plan_fleet(topology: FleetTopology) -> list[ShardPlan]:
     """Place the keyspace/user population and draw the fault population;
     returns one self-contained plan per shard, in shard order."""
     config = topology.config
-    ring = topology.ring()
+    prof = active()
+    with prof.scope("fleet.plan.ring"):
+        ring = topology.ring()
     shard_count = len(topology.shards)
     # ring.nodes is sorted; shard names are zero-padded, so node index i
     # is exactly shard_id i — assert rather than assume.
@@ -138,7 +141,8 @@ def plan_fleet(topology: FleetTopology) -> list[ShardPlan]:
     # only its precomputed consequences, so shards stay pure in
     # (plan, config) and the w1==w4 digest contract survives chaos.
     if config.faults is not None and not config.faults.empty:
-        manifests = compile_fleet_chaos(config, topology, plans)
+        with prof.scope("fleet.plan.chaos"):
+            manifests = compile_fleet_chaos(config, topology, plans)
         plans = [
             dataclasses.replace(plan, chaos=manifests[plan.shard_id])
             if plan.shard_id in manifests else plan

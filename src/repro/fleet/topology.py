@@ -246,7 +246,9 @@ class FleetTopology:
     def ring(self) -> ConsistentHashRing:
         """The keyspace ring over shard names (fixed partition grid, so
         quarantine-time membership changes compare remap-minimally).
-        Cached: the assignment is O(partitions * shards)."""
+        Cached per topology: a build still hashes every (partition,
+        shard) pair once, but streams the weights in cache-sized blocks
+        and never holds the full matrix or its sort (DESIGN §12)."""
         if self._ring is None:
             self._ring = ConsistentHashRing(
                 [s.name for s in self.shards],

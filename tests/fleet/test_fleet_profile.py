@@ -8,6 +8,7 @@ discipline as the shard results (merging worker payloads == one stream),
 and (3) the per-worker utilization / straggler section.
 """
 
+from repro.faultinject.fleet_faults import FleetFaultPlan
 from repro.fleet import FleetConfig, run_fleet
 from repro.obs import NULL_PROFILER, PROFILE_FORMAT, active
 from repro.obs.profiling import merge_profiles
@@ -29,9 +30,29 @@ def _small_config(**overrides) -> FleetConfig:
     return FleetConfig(**defaults)
 
 
+def _chaos_config() -> FleetConfig:
+    """Host 1 crashes and restarts: one re-homing ring build."""
+    return _small_config(
+        hosts=4, shards=8, faults=FleetFaultPlan.parse(crashes=("1@6+8",))
+    )
+
+
+def _subsystem(payload: dict, name: str) -> dict:
+    return next(s for s in payload["subsystems"] if s["name"] == name)
+
+
 class TestFleetDigestParity:
     def test_profiler_and_workers_never_move_the_digest(self):
         config = _small_config()
+        digests = {
+            run_fleet(config, workers=workers, profile=profile).digest
+            for workers in (1, 4)
+            for profile in (None, True)
+        }
+        assert len(digests) == 1
+
+    def test_chaos_plan_scopes_never_move_the_digest(self):
+        config = _chaos_config()
         digests = {
             run_fleet(config, workers=workers, profile=profile).digest
             for workers in (1, 4)
@@ -69,6 +90,22 @@ class TestFleetProfilePayload:
                 "fleet.merge"} <= names
         assert payload["events"] > 0
         assert report.to_json()["profile"] == payload
+
+    def test_ring_builds_are_named_not_hidden_in_plan(self):
+        # no fault plan: the one base ring build, and no chaos compile
+        payload = run_fleet(_small_config(), workers=1, profile=True).profile
+        assert _subsystem(payload, "fleet.plan.ring")["calls"] == 1
+        assert "fleet.plan;fleet.plan.ring" in {n["path"] for n in payload["nodes"]}
+        assert "fleet.plan.chaos" not in {s["name"] for s in payload["subsystems"]}
+
+    def test_chaos_compile_and_rehoming_rings_are_named(self):
+        payload = run_fleet(_chaos_config(), workers=2, profile=True).profile
+        paths = {n["path"] for n in payload["nodes"]}
+        assert "fleet.plan;fleet.plan.chaos" in paths
+        # the crash's dead-host set re-homes via one ring.without() build
+        assert "fleet.plan;fleet.plan.chaos;fleet.plan.ring" in paths
+        assert _subsystem(payload, "fleet.plan.chaos")["calls"] == 1
+        assert _subsystem(payload, "fleet.plan.ring")["calls"] == 2
 
     def test_worker_sections_and_straggler(self):
         report = run_fleet(_small_config(), workers=2, profile=True)

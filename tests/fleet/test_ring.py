@@ -16,6 +16,36 @@ def _names(n: int) -> list[str]:
     return [f"s{i:04d}" for i in range(n)]
 
 
+def _reference_owner(ring: ConsistentHashRing) -> np.ndarray:
+    """The plain definition of the assignment, kept as the oracle: every
+    partition ranks all nodes by descending weight (stable argsort of
+    ``~w``, so ties go to the lower node index) and takes the first node
+    of that list still under the cap, in partition order.  The
+    preference lists are sorted a block of rows at a time only to bound
+    the oracle's memory; each row's list is the same either way."""
+    part_tokens = mix64(np.arange(ring.partitions, dtype=np.uint64))
+    node_tokens = np.array(
+        [name_token(name, ring.salt) for name in ring.nodes], dtype=np.uint64
+    )
+    loads = np.zeros(len(ring.nodes), dtype=np.int64)
+    owner = np.empty(ring.partitions, dtype=np.int32)
+    for lo in range(0, ring.partitions, 4096):
+        weights = mix64(part_tokens[lo:lo + 4096, None] ^ node_tokens[None, :])
+        prefs = np.argsort(~weights, axis=1, kind="stable")
+        for row, part in enumerate(range(lo, lo + len(prefs))):
+            for choice in prefs[row]:
+                if loads[choice] < ring.capacity:
+                    owner[part] = choice
+                    loads[choice] += 1
+                    break
+    return owner
+
+
+def _assert_matches_reference(ring: ConsistentHashRing) -> None:
+    expected = _reference_owner(ring)
+    assert ring.owner_of_partition.tobytes() == expected.tobytes()
+
+
 class TestBalance:
     @pytest.mark.parametrize("shards", [4, 16, 64])
     def test_load_within_15_percent_at_256_vnodes(self, shards):
@@ -76,6 +106,75 @@ class TestRemap:
             a.remap_fraction(b)
 
 
+class TestReferenceEquality:
+    """The streaming assignment (first-choice argmax, bulk prefix, greedy
+    tail, incremental ``without``) must reproduce the plain definition
+    byte for byte, tie-breaks included.  Balance and remap bounds alone
+    would not notice a different-but-balanced assignment."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5, 8, 13, 31, 64])
+    @pytest.mark.parametrize("vnodes", [1, 16, 64])
+    @pytest.mark.parametrize("cap_factor", [1.0, 1.5])
+    def test_fresh_build(self, shards, vnodes, cap_factor):
+        ring = ConsistentHashRing(
+            _names(shards), vnodes=vnodes, salt=shards, cap_factor=cap_factor
+        )
+        _assert_matches_reference(ring)
+
+    @pytest.mark.parametrize("salt", [0, 7, "fleet"])
+    @pytest.mark.parametrize("shards", [4, 16])
+    def test_default_vnodes_across_salts(self, salt, shards):
+        _assert_matches_reference(
+            ConsistentHashRing(_names(shards), vnodes=DEFAULT_VNODES, salt=salt)
+        )
+
+    @pytest.mark.parametrize("partitions", [8, 64, 1024])
+    @pytest.mark.parametrize("cap_factor", [1.0, 1.5])
+    def test_explicit_partitions(self, partitions, cap_factor):
+        ring = ConsistentHashRing(
+            _names(6), partitions=partitions, salt=3, cap_factor=cap_factor
+        )
+        _assert_matches_reference(ring)
+
+    @pytest.mark.parametrize("cap_factor", [1.0, 1.5])
+    @pytest.mark.parametrize("salt", [0, 11])
+    def test_without_single_multi_and_chained(self, cap_factor, salt):
+        ring = ConsistentHashRing(
+            _names(24), vnodes=16, salt=salt, cap_factor=cap_factor
+        )
+        single = ring.without("s0007")
+        multi = ring.without("s0000", "s0011", "s0023")
+        chained = single.without("s0000").without("s0011", "s0023")
+        for derived in (single, multi, chained):
+            _assert_matches_reference(derived)
+        assert chained.owner_of_partition.tobytes() == (
+            ring.without("s0007", "s0000", "s0011", "s0023")
+            .owner_of_partition.tobytes()
+        )
+
+    def test_without_down_to_one_node(self):
+        ring = ConsistentHashRing(_names(5), vnodes=16, salt=2)
+        last = ring.without(*_names(5)[1:])
+        assert last.nodes == ("s0000",)
+        _assert_matches_reference(last)
+
+    @pytest.mark.parametrize("cap_factor", [1.0, 1.5])
+    def test_with_nodes(self, cap_factor):
+        ring = ConsistentHashRing(
+            _names(12), vnodes=64, salt=5, cap_factor=cap_factor
+        )
+        _assert_matches_reference(ring.with_nodes("s0100", "s0101"))
+        _assert_matches_reference(ring.with_nodes("s0100").without("s0003"))
+
+    def test_fleet_chaos_shape(self):
+        # 256 shards x 256 vnodes = 65536 partitions, named and salted as
+        # FleetTopology names and salts them, then a five-shard outage
+        ring = ConsistentHashRing(_names(256), vnodes=DEFAULT_VNODES, salt=3)
+        assert ring.partitions == 65536
+        _assert_matches_reference(ring)
+        _assert_matches_reference(ring.without(*_names(256)[40:45]))
+
+
 class TestDeterminism:
     def test_assignment_is_a_pure_function_of_inputs(self):
         a = ConsistentHashRing(_names(12), vnodes=64, salt=7)
@@ -120,3 +219,14 @@ class TestValidation:
     def test_cap_factor_below_one_rejected(self):
         with pytest.raises(ValueError):
             ConsistentHashRing(_names(4), cap_factor=0.5)
+
+    def test_without_unknown_node_rejected(self):
+        # an unknown name must not read as a zero-remap quarantine
+        ring = ConsistentHashRing(_names(4), vnodes=16)
+        with pytest.raises(ValueError, match="s0009, s0042"):
+            ring.without("s0001", "s0042", "s0009")
+
+    def test_without_every_node_rejected(self):
+        ring = ConsistentHashRing(_names(2), vnodes=16)
+        with pytest.raises(ValueError):
+            ring.without(*ring.nodes)
