@@ -25,6 +25,7 @@ from repro.closures.annotation import closure
 from repro.closures.context import ops, syscall
 from repro.closures.syscalls import sys_random
 from repro.memory.pointer import OrthrusPtr, orthrus_new
+from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
 
 _FINGERPRINT_LANES = 8
@@ -51,8 +52,12 @@ class LsmTree:
         #: ("meta", seq, count): write sequence number and memtable size
         self.meta = runtime.new(("meta", 0, 0))
         #: tier 2: list of immutable sorted blocks, newest last (external
-        #: device, owned by the control path)
+        #: device, owned by the control path).  Only :func:`_disk_append`
+        #: and :func:`_disk_replace` change it.
         self.disk: list[tuple] = []
+        #: ``sum(approx_size(b) for b in disk)``, kept by those two
+        #: functions: a block is an immutable tuple, sized once when written
+        self.disk_bytes = 0
         #: client-side randomness source for level selection (recorded as a
         #: syscall so validation replays it)
         self.rng = random.Random(seed)
@@ -221,6 +226,7 @@ def lsm_flush(tree: LsmTree) -> int:
 
 def _disk_append(tree: LsmTree, block: tuple) -> int:
     tree.disk.append(block)
+    tree.disk_bytes += approx_size(block)
     return len(block[0])
 
 
@@ -246,4 +252,5 @@ def lsm_compact(tree: LsmTree) -> int:
 def _disk_replace(tree: LsmTree, block: tuple) -> int:
     tree.disk.clear()
     tree.disk.append(block)
+    tree.disk_bytes = approx_size(block)
     return len(block[0])

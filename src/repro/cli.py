@@ -189,6 +189,15 @@ _APPS = {
 }
 
 
+def _workload_size(args, default: int) -> int:
+    """``--ops``, or the app's default size when it is not given."""
+    if args.ops is None:
+        return default
+    if args.ops < 1:
+        raise SystemExit(f"--ops must be at least 1 (got {args.ops})")
+    return args.ops
+
+
 def _resolve(app: str):
     if app not in _APPS:
         raise SystemExit(f"unknown app {app!r}; choose from {', '.join(_APPS)}")
@@ -710,7 +719,7 @@ def cmd_doctor(args) -> int:
 
 def cmd_perf(args) -> int:
     scenario, orthrus, vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     obs = _make_obs(args)
     timeseries, slos = _timeseries_setup(args)
     ft, chaos = _fault_tolerance_setup(args)
@@ -767,7 +776,7 @@ def cmd_perf(args) -> int:
 
 def cmd_latency(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     obs = _make_obs(args)
     timeseries, slos = _timeseries_setup(args)
     ft, chaos = _fault_tolerance_setup(args)
@@ -817,7 +826,7 @@ def cmd_latency(args) -> int:
 
 def cmd_coverage(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     obs = _make_obs(args)
     # A *shared* profiler instance: every trial activates it, so the
     # payload aggregates the whole campaign (like the shared obs handle).
@@ -888,6 +897,7 @@ def cmd_respond(args) -> int:
             f"got {args.app!r}"
         )
     scenario = _APPS[args.app][0]()
+    n_ops = _workload_size(args, 200)
     obs = _make_obs(args)
     closure = _RESPOND_CLOSURES[args.app]
     fault = (
@@ -896,7 +906,7 @@ def cmd_respond(args) -> int:
         else misdirected_fault(closure)
     )
     config = IncidentConfig(
-        n_ops=args.ops or 200,
+        n_ops=n_ops,
         seed=args.seed,
         app_threads=args.threads,
         validation_cores=args.cores,
@@ -941,7 +951,7 @@ def cmd_respond(args) -> int:
         print("validation-plane stress arm:")
         stress = run_orthrus_server(
             scenario,
-            args.ops or 200,
+            n_ops,
             PipelineConfig(
                 app_threads=args.threads,
                 validation_cores=args.cores,
@@ -1164,7 +1174,7 @@ def cmd_profile(args) -> int:
     """One Orthrus run under the self-profiler: subsystem share table,
     throughput meter, and optional JSON / flamegraph artifacts."""
     scenario, orthrus, _vanilla, _rbv, default_size = _resolve(args.app)
-    size = args.ops or default_size
+    size = _workload_size(args, default_size)
     result = orthrus(
         scenario, size,
         PipelineConfig(

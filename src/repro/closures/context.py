@@ -30,6 +30,7 @@ from repro.machine.instruction import Trace
 from repro.memory.checksum import checksum_of
 from repro.memory.heap import PrivateHeap, VersionedHeap
 from repro.obs.observability import NULL_OBS
+from repro.obs.profiling import active as profiling_active
 from repro.closures.log import ClosureLog
 
 _tls = threading.local()
@@ -160,7 +161,11 @@ class ExecutionContext:
                 and version.checksum is not None
             ):
                 self._verified.add(obj_id)
+                prof = profiling_active()
+                t0 = prof.now() if prof.enabled else 0
                 actual = checksum_of(version.value)
+                if prof.enabled:
+                    prof.lap("memory.checksum", t0)
                 ok = actual == version.checksum
                 obs = self.obs
                 if obs.enabled:

@@ -274,6 +274,7 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         )
 
     def track_memory() -> None:
+        t0 = prof.now() if prof.enabled else 0
         extra = (
             server.resident_bytes_extra()
             if hasattr(server, "resident_bytes_extra")
@@ -286,6 +287,8 @@ def _run_chaos_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
             metrics.peak_versioned_bytes,
             runtime.heap.versioned_bytes + pending_bytes[0] + extra,
         )
+        if prof.enabled:
+            prof.lap("memory.size", t0)
 
     def memory_in_use() -> float:
         return runtime.heap.versioned_bytes + pending_bytes[0]

@@ -529,6 +529,7 @@ def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             yield env.timeout(config.costs.seconds(cycles))
             metrics.request_latency.add(env.now - began)
             metrics.operations += 1
+            t0 = prof.now() if prof.enabled else 0
             extra = (
                 server.resident_bytes_extra()
                 if hasattr(server, "resident_bytes_extra")
@@ -540,6 +541,8 @@ def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             metrics.peak_versioned_bytes = max(
                 metrics.peak_versioned_bytes, runtime.heap.versioned_bytes + extra
             )
+            if prof.enabled:
+                prof.lap("memory.size", t0)
 
     threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
     env.run(until=env.all_of(threads))
@@ -645,6 +648,7 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
         )
 
     def track_memory() -> None:
+        t0 = prof.now() if prof.enabled else 0
         extra = (
             server.resident_bytes_extra()
             if hasattr(server, "resident_bytes_extra")
@@ -657,6 +661,8 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             metrics.peak_versioned_bytes,
             runtime.heap.versioned_bytes + pending_bytes[0] + extra,
         )
+        if prof.enabled:
+            prof.lap("memory.size", t0)
 
     def memory_in_use() -> float:
         return runtime.heap.versioned_bytes + pending_bytes[0]

@@ -128,10 +128,6 @@ class Core:
         occurrences = self._occurrences
         index = occurrences.get(opcode, 0)
         occurrences[opcode] = index + 1
-        site = Site(self._function, opcode, index)
-        if self.record_sites:
-            self.site_units[site] = unit
-            self.site_counts[site] = self.site_counts.get(site, 0) + 1
         cycles = CYCLE_COST[unit] * cycle_weight
         self.total_cycles += cycles
         self.instructions += 1
@@ -139,8 +135,16 @@ class Core:
         if trace is not None:
             trace.unit_counts[unit] = trace.unit_counts.get(unit, 0) + 1
             trace.cycles += cycles
-            if trace.record_sites:
-                trace.sites.add(site)
+        # The Site is built only when something reads it: an armed fault,
+        # or site recording on the core or on the trace.
+        if not (self.faults or self.record_sites or (trace is not None and trace.record_sites)):
+            return result
+        site = Site(self._function, opcode, index)
+        if self.record_sites:
+            self.site_units[site] = unit
+            self.site_counts[site] = self.site_counts.get(site, 0) + 1
+        if trace is not None and trace.record_sites:
+            trace.sites.add(site)
         for fault in self.faults:
             if not fault.matches(unit, site):
                 continue

@@ -23,6 +23,12 @@ class Unit(enum.Enum):
     SIMD = "simd"
     CACHE = "cache"
 
+    #: Members are singletons compared by identity, so the C-level
+    #: identity hash is consistent with equality.  ``Enum.__hash__`` is a
+    #: Python frame that hashes the member name, and ``Core._issue`` looks
+    #: units up in dicts on every simulated instruction.
+    __hash__ = object.__hash__
+
     @property
     def error_prone(self) -> bool:
         """Whether real-world SDC studies flag this unit as high risk.

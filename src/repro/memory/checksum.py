@@ -6,41 +6,27 @@ version is created and verified the first time the object is loaded after
 crossing the control/data-path boundary.  A 16-bit code suffices because it
 is used purely for *detection* — never for recovery.
 
-We implement CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF) with a
-precomputed table, and a canonical serialization for the Python values user
-data can hold, so that logically equal payloads always produce equal CRCs.
+The CRC is CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, check value
+0x29B1), computed in C by the standard library's ``binascii.crc_hqx``.  The
+canonical serialization covers the Python values user data can hold, so
+that logically equal payloads always produce equal CRCs; it dispatches on
+the exact type of each value, and only subclasses, dicts, pointers and
+``@user_data`` objects take the slower attribute-probing path.
 """
 
 from __future__ import annotations
 
 import struct
+from binascii import crc_hqx
 
-_POLY = 0x1021
 _INIT = 0xFFFF
-
-
-def _build_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
+_pack_len = struct.Struct("<I").pack
+_pack_double = struct.Struct("<d").pack
 
 
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE of ``data``."""
-    crc = _INIT
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return crc_hqx(data, _INIT)
 
 
 def serialize(value) -> bytes:
@@ -57,52 +43,129 @@ def serialize(value) -> bytes:
 
 
 def _serialize_into(value, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif isinstance(value, bool):
-        out += b"B1" if value else b"B0"
+    writer = _WRITERS.get(type(value))
+    if writer is not None:
+        writer(value, out)
+    else:
+        _serialize_other(value, out)
+
+
+def _write_none(value, out: bytearray) -> None:
+    out += b"N"
+
+
+def _write_bool(value, out: bytearray) -> None:
+    out += b"B1" if value else b"B0"
+
+
+def _write_int(value, out: bytearray) -> None:
+    length = (value.bit_length() + 8) // 8 + 1
+    out += b"I"
+    out += _pack_len(length)
+    out += value.to_bytes(length, "little", signed=True)
+
+
+def _write_float(value, out: bytearray) -> None:
+    out += b"F"
+    out += _pack_double(value)
+
+
+def _write_str(value, out: bytearray) -> None:
+    raw = value.encode("utf-8")
+    out += b"S"
+    out += _pack_len(len(raw))
+    out += raw
+
+
+def _write_bytes(value, out: bytearray) -> None:
+    out += b"Y"
+    out += _pack_len(len(value))
+    out += value
+
+
+def _write_items(value, out: bytearray) -> None:
+    writers = _WRITERS
+    for item in value:
+        writer = writers.get(type(item))
+        if writer is not None:
+            writer(item, out)
+        else:
+            _serialize_other(item, out)
+
+
+def _write_tuple(value, out: bytearray) -> None:
+    out += b"T"
+    out += _pack_len(len(value))
+    _write_items(value, out)
+
+
+def _write_list(value, out: bytearray) -> None:
+    out += b"L"
+    out += _pack_len(len(value))
+    _write_items(value, out)
+
+
+#: exact type -> writer.  Subclasses are absent on purpose: an ``IntEnum``
+#: or a ``NamedTuple`` takes the ``isinstance`` path below, which is what
+#: decides their encoding.
+_WRITERS = {
+    type(None): _write_none,
+    bool: _write_bool,
+    int: _write_int,
+    float: _write_float,
+    str: _write_str,
+    bytes: _write_bytes,
+    tuple: _write_tuple,
+    list: _write_list,
+}
+
+
+#: the builtin bases of the dispatched types, plus dict; anything that is
+#: not an instance of one of them can only be a pointer or user data
+_PLAIN_BASES = (int, float, str, bytes, tuple, list, dict)
+
+
+def _serialize_other(value, out: bytearray) -> None:
+    """Encode a value whose exact type has no entry in :data:`_WRITERS`.
+
+    A subclass encodes as its builtin base, ahead of any pointer or
+    payload hook it carries.  (``bool`` cannot be subclassed, so exact
+    dispatch already covers every bool.)
+    """
+    if not isinstance(value, _PLAIN_BASES):
+        if getattr(value, "__orthrus_ptr__", False):
+            # An Orthrus pointer embedded in a payload (a versioned
+            # container referencing another user-data object): serialized
+            # by object id.
+            out += b"P"
+            out += value.obj_id.to_bytes(8, "little", signed=True)
+        elif hasattr(value, "__orthrus_payload__"):
+            # User-data classes expose their payload for checksumming.
+            out += b"O"
+            _serialize_into(value.__orthrus_payload__(), out)
+        else:
+            raise TypeError(
+                f"cannot checksum value of type {type(value).__name__}; "
+                "user-data payloads must be plain values or @user_data classes"
+            )
     elif isinstance(value, int):
-        out += b"I"
-        raw = value.to_bytes((value.bit_length() + 8) // 8 + 1, "little", signed=True)
-        out += len(raw).to_bytes(4, "little")
-        out += raw
+        _write_int(value, out)
     elif isinstance(value, float):
-        out += b"F"
-        out += struct.pack("<d", value)
+        _write_float(value, out)
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"S"
-        out += len(raw).to_bytes(4, "little")
-        out += raw
+        _write_str(value, out)
     elif isinstance(value, bytes):
-        out += b"Y"
-        out += len(value).to_bytes(4, "little")
-        out += value
-    elif isinstance(value, (tuple, list)):
-        out += b"T" if isinstance(value, tuple) else b"L"
-        out += len(value).to_bytes(4, "little")
-        for item in value:
-            _serialize_into(item, out)
-    elif isinstance(value, dict):
+        _write_bytes(value, out)
+    elif isinstance(value, tuple):
+        _write_tuple(value, out)
+    elif isinstance(value, list):
+        _write_list(value, out)
+    else:
         out += b"D"
-        out += len(value).to_bytes(4, "little")
+        out += _pack_len(len(value))
         for key in sorted(value, key=repr):
             _serialize_into(key, out)
             _serialize_into(value[key], out)
-    elif getattr(value, "__orthrus_ptr__", False):
-        # An Orthrus pointer embedded in a payload (a versioned container
-        # referencing another user-data object): serialized by object id.
-        out += b"P"
-        out += value.obj_id.to_bytes(8, "little", signed=True)
-    elif hasattr(value, "__orthrus_payload__"):
-        # User-data classes expose their payload for checksumming.
-        out += b"O"
-        _serialize_into(value.__orthrus_payload__(), out)
-    else:
-        raise TypeError(
-            f"cannot checksum value of type {type(value).__name__}; "
-            "user-data payloads must be plain values or @user_data classes"
-        )
 
 
 def checksum_of(value) -> int:

@@ -25,20 +25,67 @@ def approx_size(value: Any) -> int:
 
     Used for the memory-overhead accounting of Figs 6/10; it does not need
     to match CPython's allocator exactly, only to be consistent between the
-    vanilla baseline and the versioned heap.
+    vanilla baseline and the versioned heap.  Plain values dispatch on their
+    exact type; subclasses, dicts, pointers and ``@user_data`` objects take
+    the attribute-probing path of :func:`_approx_size_other`.
     """
-    if value is None or isinstance(value, bool):
-        return 8
+    sizer = _SIZERS.get(type(value))
+    if sizer is not None:
+        return sizer(value)
+    return _approx_size_other(value)
+
+
+def _size_word(value) -> int:
+    return 8
+
+
+def _size_int(value: int) -> int:
+    return 8 + value.bit_length() // 8
+
+
+def _size_buffer(value) -> int:
+    return 16 + len(value)
+
+
+def _size_items(value) -> int:
+    sizers = _SIZERS
+    total = 16
+    for item in value:
+        sizer = sizers.get(type(item))
+        total += sizer(item) if sizer is not None else _approx_size_other(item)
+    return total
+
+
+#: exact type -> sizer; subclasses fall through to the ``isinstance`` chain
+_SIZERS = {
+    type(None): _size_word,
+    bool: _size_word,
+    int: _size_int,
+    float: _size_word,
+    str: _size_buffer,
+    bytes: _size_buffer,
+    tuple: _size_items,
+    list: _size_items,
+}
+
+
+def _approx_size_other(value: Any) -> int:
+    """Size a value whose exact type has no entry in :data:`_SIZERS`.
+
+    A subclass sizes as its builtin base; the pointer check sits where it
+    does so that a pointer-marked container counts as one word.  (``bool``
+    cannot be subclassed, so exact dispatch already covers every bool.)
+    """
     if isinstance(value, int):
-        return 8 + value.bit_length() // 8
+        return _size_int(value)
     if isinstance(value, float):
         return 8
     if isinstance(value, (str, bytes)):
-        return 16 + len(value)
+        return _size_buffer(value)
     if getattr(value, "__orthrus_ptr__", False):
         return 8  # one pointer word
     if isinstance(value, (tuple, list)):
-        return 16 + sum(approx_size(item) for item in value)
+        return _size_items(value)
     if isinstance(value, dict):
         return 32 + sum(approx_size(k) + approx_size(v) for k, v in value.items())
     if hasattr(value, "__orthrus_payload__"):

@@ -7,6 +7,7 @@ from repro.apps.lsmtree import LsmTreeServer, lsm_flush, lsm_get, lsm_put
 from repro.machine.cpu import Machine
 from repro.machine.faults import Fault, FaultKind
 from repro.machine.units import Unit
+from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
 from repro.workloads.base import Op, OpKind
 from repro.workloads.ycsb import YcsbWriteWorkload
@@ -123,6 +124,48 @@ def test_lsm_matches_dict_model(pairs):
             model[key] = value
     assert server.items() == model
     assert runtime.detections == 0
+
+
+_disk_ops = st.lists(
+    st.tuples(
+        st.sampled_from([OpKind.PUT, OpKind.REMOVE]),
+        st.integers(0, 30),
+        st.text(max_size=8) | st.integers(-(1 << 70), 1 << 70).map(str),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_disk_ops)
+def test_running_disk_bytes_equal_the_block_sum(ops):
+    """``disk_bytes`` is the ``approx_size`` sum over the device after every
+    put/remove, across flushes and compactions."""
+    machine = Machine(cores_per_node=4, numa_nodes=1)
+    runtime = OrthrusRuntime(machine=machine, app_cores=[0], validation_cores=[1])
+    server = LsmTreeServer(runtime, memtable_limit=4, compaction_threshold=3, seed=5)
+    tree = server.tree
+    with runtime:
+        for kind, key, value in ops:
+            server.handle(Op(kind, key, value if kind is OpKind.PUT else None))
+            assert tree.disk_bytes == sum(approx_size(block) for block in tree.disk)
+            assert server.resident_bytes_extra() == tree.disk_bytes
+    assert runtime.detections == 0
+
+
+def test_disk_accounting_crosses_flushes_and_compactions():
+    machine = Machine(cores_per_node=4, numa_nodes=1)
+    runtime = OrthrusRuntime(machine=machine, app_cores=[0], validation_cores=[1])
+    server = LsmTreeServer(runtime, memtable_limit=4, compaction_threshold=3, seed=5)
+    with runtime:
+        for key in range(40):
+            server.handle(put_op(key % 13, f"v{key}"))
+            if key % 5 == 0:
+                server.handle(Op(OpKind.REMOVE, key % 7))
+    assert server.flushes >= 6 and server.compactions >= 2
+    tree = server.tree
+    assert tree.disk_bytes == sum(approx_size(block) for block in tree.disk) > 0
 
 
 class TestFaultBehaviour:

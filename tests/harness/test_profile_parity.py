@@ -8,6 +8,8 @@ library runtime (plain orthrus driver) AND the chaos driver, and require
 byte-identical digests and verdict counts every time.
 """
 
+import pytest
+
 from repro.harness.chaos import run_chaos_server
 from repro.harness.pipeline import (
     PipelineConfig,
@@ -15,7 +17,7 @@ from repro.harness.pipeline import (
     run_rbv_server,
     run_vanilla_server,
 )
-from repro.harness.scenarios import memcached_scenario
+from repro.harness.scenarios import lsmtree_scenario, memcached_scenario
 from repro.obs import NULL_PROFILER, PROFILE_FORMAT, ProfileConfig, active
 from repro.runtime.degradation import FaultToleranceConfig
 
@@ -118,3 +120,32 @@ class TestChaosParity:
             node["path"].split(";")[0] for node in result.profile["nodes"]
         }
         assert roots == {"driver.chaos"}
+
+
+class TestMemoryLayerScopes:
+    """memory.size (track_memory) and memory.checksum (version CRC and the
+    first-load probe) are profiled subsystems; naming them moves nothing."""
+
+    MEMORY = {"memory.size", "memory.checksum", "memory.version"}
+
+    def _lsm(self, runner, **extra):
+        config = PipelineConfig(app_threads=2, validation_cores=2, seed=7, **extra)
+        return runner(lsmtree_scenario(), 300, config)
+
+    @pytest.mark.parametrize(
+        "runner", [run_orthrus_server, run_chaos_server], ids=["orthrus", "chaos"]
+    )
+    def test_lsmtree_names_memory_scopes_with_digest_parity(self, runner):
+        bare = self._lsm(runner)
+        profiled = self._lsm(runner, profile=True)
+        assert bare.digest is not None
+        assert bare.digest == profiled.digest
+        assert bare.metrics.peak_versioned_bytes == profiled.metrics.peak_versioned_bytes
+        names = {s["name"] for s in profiled.profile["subsystems"]}
+        assert self.MEMORY <= names
+
+    def test_vanilla_names_memory_size(self):
+        bare = self._lsm(run_vanilla_server)
+        profiled = self._lsm(run_vanilla_server, profile=True)
+        assert bare.digest == profiled.digest
+        assert "memory.size" in {s["name"] for s in profiled.profile["subsystems"]}

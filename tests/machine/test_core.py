@@ -227,3 +227,89 @@ class TestMercurialBehaviour:
         core.begin("f")
         assert core.cache.atomic_read(cell) == 5
         core.end()
+
+
+def _program(core: Core, trace=None) -> list:
+    """A small closure with nested scopes; returns every op result."""
+    results = []
+    core.begin("outer", trace)
+    results.append(core.alu.add(3, 4))
+    results.append(core.alu.add(5, 6))
+    results.append(core.fpu.fmul(1.5, 2.0))
+    with core.scope("inner"):
+        results.append(core.alu.add(7, 8))
+        results.append(core.simd.vadd((1, 2), (3, 4)))
+    results.append(core.alu.add(9, 10))
+    results.append(core.cache.atomic_add(AtomicCell(1), 2))
+    core.end()
+    return results
+
+
+#: the program's dynamic instruction sites, in issue order
+_PROGRAM_SITES = [
+    (Site("outer", "add", 0), Unit.ALU),
+    (Site("outer", "add", 1), Unit.ALU),
+    (Site("outer", "fmul", 0), Unit.FPU),
+    (Site("inner", "add", 0), Unit.ALU),
+    (Site("inner", "vadd", 0), Unit.SIMD),
+    (Site("outer", "add", 2), Unit.ALU),
+    (Site("outer", "atomic_add", 0), Unit.CACHE),
+]
+
+
+class TestLazySites:
+    """Sites are built only when read; what reads them sees the same sites."""
+
+    @pytest.mark.parametrize("index", range(len(_PROGRAM_SITES)))
+    def test_site_pinned_fault_corrupts_exactly_its_site(self, index):
+        healthy = _program(Core(0))
+        site, unit = _PROGRAM_SITES[index]
+        core = Core(0)
+        core.arm(Fault(unit=unit, kind=FaultKind.BITFLIP, site=site, bit=0))
+        faulty = _program(core)
+        differs = [i for i, (a, b) in enumerate(zip(healthy, faulty)) if a != b]
+        assert differs == [index]
+
+    def test_fault_on_an_unexecuted_site_never_fires(self):
+        core = Core(0)
+        core.arm(
+            Fault(unit=Unit.ALU, kind=FaultKind.BITFLIP, site=Site("outer", "add", 3))
+        )
+        assert _program(core) == _program(Core(0))
+
+    def test_core_site_recording_is_exact(self):
+        core = Core(0)
+        core.record_sites = True
+        _program(core)
+        _program(core)
+        assert core.site_units == dict(_PROGRAM_SITES)
+        assert core.site_counts == {site: 2 for site, _ in _PROGRAM_SITES}
+
+    def test_trace_site_recording_is_exact(self):
+        from repro.machine.instruction import Trace
+
+        trace = Trace(record_sites=True)
+        _program(Core(0), trace)
+        # the nested scope has its own trace; the outer one sees its own sites
+        assert trace.sites == {s for s, _ in _PROGRAM_SITES if s.function == "outer"}
+
+    def test_recording_with_an_armed_fault_matches_recording_without(self):
+        plain, armed = Core(0), Core(0)
+        for core in (plain, armed):
+            core.record_sites = True
+        armed.arm(Fault(unit=Unit.FPU, kind=FaultKind.BITFLIP, site=Site("x", "f", 0)))
+        _program(plain)
+        _program(armed)
+        assert plain.site_counts == armed.site_counts
+        assert plain.site_units == armed.site_units
+
+    def test_unrecorded_unarmed_run_still_counts_everything(self):
+        from repro.machine.instruction import Trace
+
+        core = Core(0)
+        trace = Trace()
+        _program(core, trace)
+        assert core.instructions == len(_PROGRAM_SITES)
+        assert core.site_counts == {} and trace.sites == set()
+        assert trace.count(Unit.ALU) == 3  # the nested scope's add is its own
+        assert trace.count(Unit.CACHE) == 1

@@ -247,3 +247,43 @@ def test_reclamation_never_touches_live_versions(keys):
     for key, obj in handles.items():
         heap.latest(obj)  # must not raise
     assert heap.stale_bytes == 0
+
+
+class TestProfiledChecksum:
+    def test_version_lap_excludes_the_checksum_lap(self, monkeypatch):
+        """The CRC is its own ``memory.checksum`` leaf, and
+        ``memory.version`` keeps only the rest: no time is counted twice."""
+        from repro.memory import heap as heap_module
+        from repro.obs.profiling import Profiler, activation
+
+        now = [0]
+
+        def clock():
+            now[0] += 1
+            return now[0]
+
+        crc = heap_module.checksum_of
+
+        def slow_checksum(value):
+            now[0] += 1000
+            return crc(value)
+
+        monkeypatch.setattr(heap_module, "checksum_of", slow_checksum)
+        prof = Profiler(_clock=clock)
+        with activation(prof):
+            heap = VersionedHeap()
+            obj = heap.allocate(("x", 1))
+            heap.store(obj, ("x", 2))
+        laps = {s["name"]: s for s in prof.to_payload()["subsystems"]}
+        assert laps["memory.checksum"]["calls"] == 2
+        assert laps["memory.version"]["calls"] == 2
+        assert laps["memory.checksum"]["self_ns"] >= 2000
+        assert laps["memory.version"]["self_ns"] < 100
+
+    def test_unprofiled_heap_records_nothing(self):
+        from repro.obs.profiling import NULL_PROFILER, active
+
+        assert active() is NULL_PROFILER
+        heap = VersionedHeap()
+        heap.allocate("plain")
+        assert heap.latest(1).checksum is not None

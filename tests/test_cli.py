@@ -60,6 +60,51 @@ class TestCommands:
             main(["perf", "--app", "redis"])
 
 
+class TestOpsBoundary:
+    """``--ops`` below 1 is refused; it never silently becomes the default."""
+
+    @pytest.mark.parametrize("command", ["perf", "latency", "profile", "coverage", "respond"])
+    @pytest.mark.parametrize("ops", ["0", "-5"])
+    def test_non_positive_ops_rejected(self, command, ops):
+        with pytest.raises(SystemExit, match="--ops must be at least 1") as exc:
+            main([command, "--app", "memcached", "--ops", ops])
+        assert str(exc.value) == f"--ops must be at least 1 (got {ops})"
+
+    def test_rejection_is_one_line_and_exit_code_failure(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.errors import ExitCode
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "perf", "--ops", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == ExitCode.FAILURE
+        assert done.stderr == "--ops must be at least 1 (got 0)\n"
+        assert done.stdout == ""
+
+    def test_ops_one_runs(self, capsys):
+        assert main(["profile", "--app", "lsmtree", "--ops", "1"]) == 0
+        assert "self-profile" in capsys.readouterr().out
+
+
+class TestProfileMemoryScopes:
+    def test_lsmtree_profile_names_memory_size_and_checksum(self, tmp_path, capsys):
+        out = tmp_path / "profile.json"
+        assert main(
+            ["profile", "--app", "lsmtree", "--ops", "200", "--out", str(out)]
+        ) == 0
+        table = capsys.readouterr().out
+        names = {s["name"] for s in json.loads(out.read_text())["subsystems"]}
+        assert {"memory.size", "memory.checksum", "memory.version"} <= names
+        assert "memory.size" in table and "memory.checksum" in table
+
+
 class TestObservabilityFlags:
     def test_metrics_and_trace_export(self, tmp_path, capsys):
         metrics = tmp_path / "run.json"
