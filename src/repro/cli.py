@@ -37,7 +37,7 @@ perf/latency/coverage attaches the response layer (arbitration +
 quarantine) to the Orthrus arm of those experiments.
 
 ``--validator-faults`` / ``--degradation`` on perf, latency, and respond
-route the Orthrus arm through the fault-tolerant chaos driver (bounded
+run the Orthrus arm on the fault-tolerant validation plane (bounded
 queues, watchdog re-dispatch, degradation ladder) and print the
 conservation ledger; ``--ft-json`` saves the report, and a run whose
 terminal degradation state is ``SAFE_HOLD`` exits nonzero (status 2).
@@ -441,7 +441,7 @@ def _export_profile(profile, args) -> None:
 
 def _fault_tolerance_setup(args):
     """(FaultToleranceConfig, ValidatorChaosConfig | None) when the
-    fault-tolerance flags ask for the chaos driver, else (None, None).
+    fault-tolerance flags ask for the fault-tolerant plane, else (None, None).
 
     Any of --validator-faults / --degradation / --queue-capacity /
     --overflow-policy opts the Orthrus arm into the fault-tolerant plane.
@@ -1186,11 +1186,7 @@ def cmd_profile(args) -> int:
             ),
         ),
     )
-    payload = getattr(result, "profile", None)
-    if payload is None:
-        print(f"(the {type(result).__name__} runner does not attach the "
-              "profiler; no profile recorded)")
-        return int(ExitCode.FAILURE)
+    payload = result.profile
     print(render_profile(payload))
     if args.out is not None:
         try:

@@ -22,13 +22,17 @@ from repro.closures.log import ClosureLog
 from repro.machine.cpu import Machine
 from repro.memory.version import approx_size
 from repro.runtime.orthrus import OrthrusRuntime
-from repro.sim.events import Environment, SimClock, Store
+from repro.sim.events import SimClock, Store
 from repro.sim.metrics import RunMetrics
 from repro.harness.pipeline import (
+    OrthrusRun,
     PipelineConfig,
     RunResult,
+    _finish_profile,
     _orthrus_overhead_cycles,
+    _profiled_environment,
     _SENTINEL,
+    _with_profiler,
     validator_process,
 )
 
@@ -102,7 +106,14 @@ def run_phoenix(
     """Run the Phoenix word-count job under one deployment variant."""
     if variant not in ("vanilla", "orthrus", "rbv"):
         raise ValueError(f"unknown variant {variant!r}")
-    env = Environment()
+    return _with_profiler(
+        config, "driver.phoenix",
+        lambda: _run_phoenix_impl(scenario, n_words, config, variant),
+    )
+
+
+def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: str):
+    prof, env = _profiled_environment()
     machine = config.build_machine()
     orthrus = variant == "orthrus"
     runtime = _build_runtime(env, machine, config, orthrus=orthrus)
@@ -118,30 +129,17 @@ def run_phoenix(
     runtime._on_log = captured_logs.append
 
     log_store = Store(env)
-    pending_bytes = [0]
-    done_events: dict[int, Any] = {}
-    sampler = config.make_sampler()
+    val_cores = [config.app_threads + i for i in range(config.validation_cores)]
+    run = OrthrusRun(
+        env, config, scenario, machine, runtime, job, config.make_sampler(),
+        metrics, val_cores,
+    )
+    done_events = run.done_events
     validators = []
-    deadline = [float("inf")]
     if orthrus:
         validators = [
-            env.process(
-                validator_process(
-                    env=env,
-                    core=machine.core(config.app_threads + i),
-                    runtime=runtime,
-                    sampler=sampler,
-                    log_store=log_store,
-                    pending_bytes=pending_bytes,
-                    done_events=done_events,
-                    metrics=metrics,
-                    config=config,
-                    memory_in_use=lambda: runtime.heap.versioned_bytes
-                    + pending_bytes[0],
-                    deadline=deadline,
-                )
-            )
-            for i in range(config.validation_cores)
+            env.process(validator_process(run, machine.core(core_id), log_store))
+            for core_id in val_cores
         ]
 
     # RBV replica: an independent second job instance replaying tasks.
@@ -160,7 +158,7 @@ def run_phoenix(
         for log in logs:
             log.enqueue_time = now
             if orthrus:
-                pending_bytes[0] += log.approx_bytes()
+                run.pending_bytes += log.approx_bytes()
                 log_store.put(log)
         if variant == "rbv" and result_ptr is not None:
             payload = runtime.heap.latest(result_ptr.obj_id).value
@@ -168,7 +166,7 @@ def run_phoenix(
         metrics.peak_live_bytes = max(metrics.peak_live_bytes, runtime.heap.live_bytes)
         metrics.peak_versioned_bytes = max(
             metrics.peak_versioned_bytes,
-            runtime.heap.versioned_bytes + pending_bytes[0],
+            runtime.heap.versioned_bytes + run.pending_bytes,
         )
 
     def make_map_thunk(chunk_ptr):
@@ -345,7 +343,7 @@ def run_phoenix(
 
     def coordinator():
         yield env.all_of(processes)
-        deadline[0] = env.now * (1 + config.drain_grace_fraction)
+        run.deadline = env.now * (1 + config.drain_grace_fraction)
         for _ in validators:
             log_store.put(_SENTINEL)
         if validators:
@@ -357,4 +355,9 @@ def run_phoenix(
     result.rbv_detections = rbv_detections[0]
     result.responses = [job.result]
     result.digest = job.state_digest() if not result.crashed else None
+    if prof.enabled:
+        machines = [machine]
+        if replica_runtime is not None:
+            machines.append(replica_runtime.machine)
+        _finish_profile(prof, env, machines)
     return result

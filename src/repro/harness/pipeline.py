@@ -6,9 +6,13 @@ Each driver wires a scenario into the discrete-event engine:
   cores; a request's service time is the cycles its control+data path
   actually executed on the simulated machine, plus the deployment's
   bookkeeping costs (:mod:`repro.sim.costs`);
-* **Orthrus validator cores** consume closure logs from a shared store
-  (work-conserving, equivalent to per-core queues with stealing), applying
-  the sampler under queueing-delay or memory-budget feedback;
+* **Orthrus validator cores** consume closure logs through a pluggable
+  validation plane, applying the sampler under queueing-delay or
+  memory-budget feedback.  One driver serves both planes: the reliable
+  :class:`SharedStorePlane` (work-conserving, equivalent to per-core
+  queues with stealing) and the fault-tolerant plane in
+  :mod:`repro.harness.chaos` (bounded queues, faultable validators,
+  watchdog, degradation ladder);
 * **the RBV replica** replays full requests *in submission order* on a
   separate healthy server, paying serialization + network transfer per
   batch and stalling the primary when the replication lag bound is hit.
@@ -43,6 +47,7 @@ from repro.obs.timeseries import (
 )
 from repro.response.coordinator import ResponseCoordinator
 from repro.runtime.orthrus import OrthrusRuntime
+from repro.runtime.safemode import SafeModePolicy
 from repro.runtime.sampling import AdaptiveSampler, SamplerConfig, sampler_decision
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.events import Environment, SimClock, Store
@@ -104,14 +109,14 @@ class PipelineConfig:
     #: SLO evaluation off.  The terminal report lands on ``RunResult.slo``
     slos: Any = None
     #: a ``repro.runtime.degradation.FaultToleranceConfig``; when set the
-    #: Orthrus driver swaps the reliable shared log store for the
-    #: fault-tolerant validation plane (bounded per-core queues, watchdog
-    #: re-dispatch, degradation ladder) in :mod:`repro.harness.chaos`
+    #: Orthrus driver runs on the fault-tolerant validation plane (bounded
+    #: per-core queues, watchdog re-dispatch, degradation ladder,
+    #: :mod:`repro.harness.chaos`) instead of the reliable shared store
     fault_tolerance: Any = None
     #: a ``repro.faultinject.ValidatorChaosConfig``; arms chaos faults on
-    #: validation cores (implies the fault-tolerant driver)
+    #: validation cores (implies the fault-tolerant validation plane)
     validator_faults: Any = None
-    #: a ``repro.obs.CanaryConfig``; when set the Orthrus drivers inject
+    #: a ``repro.obs.CanaryConfig``; when set the Orthrus driver injects
     #: known-corrupt canary closures on its period and hold them to its
     #: detection deadline — the liveness summary lands on
     #: ``RunResult.canary`` and misses on the DetectionReport
@@ -125,7 +130,7 @@ class PipelineConfig:
     #: or digests (parity-tested in tests/harness/test_profile_parity.py).
     profile: Any = None
     #: an ``repro.obs.AuditConfig`` (or True for defaults); when set the
-    #: Orthrus drivers run runtime drift probes (declared vs observed
+    #: Orthrus driver runs runtime drift probes (declared vs observed
     #: behavior, DESIGN §14) plus an ExposureLedger, and the terminal
     #: ``orthrus-audit/1`` payload lands on ``RunResult.audit``.
     #: Observational only: no RNG, no virtual-time perturbation of the
@@ -243,73 +248,204 @@ def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
     return cycles
 
 
-def _exposure_staleness(sampler) -> float:
-    """The exposure window one skipped validation opens: the key stays
-    unprotected until its next validation opportunity, which the sampler
-    bounds by its staleness threshold (DESIGN §14)."""
-    return float(
-        getattr(getattr(sampler, "config", None), "staleness_threshold", 2e-3)
+def _profiled_environment():
+    """A fresh engine that reports to the active self-profiler, if any."""
+    prof = active()
+    env = Environment()
+    if prof.enabled:
+        env.profiler = prof
+    return prof, env
+
+
+def _track_memory(prof, metrics: RunMetrics, heap, server, pending_bytes=0) -> None:
+    """Raise the run's peak live and versioned footprints to the current
+    ones: the heap, the app's own resident extras, and queued logs."""
+    t0 = prof.now() if prof.enabled else 0
+    extra = (
+        server.resident_bytes_extra()
+        if hasattr(server, "resident_bytes_extra")
+        else 0
     )
+    metrics.peak_live_bytes = max(metrics.peak_live_bytes, heap.live_bytes + extra)
+    metrics.peak_versioned_bytes = max(
+        metrics.peak_versioned_bytes, heap.versioned_bytes + pending_bytes + extra
+    )
+    if prof.enabled:
+        prof.lap("memory.size", t0)
 
 
-def _audit_setup(config: PipelineConfig, sampler, metrics, obs):
-    """Build the (drift monitor, exposure ledger) pair when auditing is on.
+class OrthrusRun:
+    """The state one Orthrus run shares between the driver and its plane.
 
-    Shared with the chaos driver.  The declared coverage floor defaults
-    to the sampler's configured minimum rate — the contract the drift
-    probe holds observed organic coverage against.
+    The driver owns the application side: app threads, canaries, audit
+    and telemetry processes, and finalization.  A validation plane
+    (:class:`SharedStorePlane`, or
+    :class:`repro.harness.chaos.FaultTolerantPlane`) owns what happens to
+    a closure log between ``submit`` and its verdict.
     """
-    if config.audit is None:
-        return None, None
-    audit_cfg = AuditConfig() if config.audit is True else config.audit
-    exposure = ExposureLedger(registry=obs.registry if obs.enabled else None)
-    drift = DriftMonitor(
-        audit_cfg,
-        declared_pool=config.validation_cores,
-        coverage_floor=float(
-            getattr(getattr(sampler, "config", None), "min_rate", 0.0)
-        ),
-        metrics=metrics,
-        obs=obs,
-        exposure=exposure,
-    )
-    return drift, exposure
+
+    def __init__(self, env, config, scenario, machine, runtime, server, sampler,
+                 metrics, val_cores):
+        self.env = env
+        self.config = config
+        self.machine = machine
+        self.runtime = runtime
+        self.obs = runtime.obs
+        self.server = server
+        self.sampler = sampler
+        self.metrics = metrics
+        self.val_cores = val_cores
+        #: strict safe mode (§3.5); the degradation ladder may engage it
+        self.safe_policy = SafeModePolicy(
+            enabled=config.safe_mode,
+            externalizing=frozenset(scenario.externalizing),
+        )
+        #: bytes of logs queued for validation
+        self.pending_bytes = 0
+        #: seq -> event a safe-mode hold waits on; fired at settlement
+        self.done_events: dict[int, Any] = {}
+        #: end of the timely-detection window, set once the apps finish
+        self.deadline = float("inf")
+        self.apps_done = False
+        #: drift monitor and exposure ledger; None with auditing off
+        self.drift = None
+        self.exposure = None
+        #: the exposure window one skipped validation opens: the key stays
+        #: unprotected until its next validation opportunity, which the
+        #: sampler bounds by its staleness threshold (DESIGN §14)
+        self.stale_s = float(
+            getattr(getattr(sampler, "config", None), "staleness_threshold", 2e-3)
+        )
+        self.dispatch_s = config.costs.seconds(config.costs.validation_dispatch_cycles)
+        self.prof = active()
+
+    def track_memory(self) -> None:
+        _track_memory(
+            self.prof, self.metrics, self.runtime.heap, self.server,
+            self.pending_bytes,
+        )
+
+    def memory_in_use(self) -> float:
+        return self.runtime.heap.versioned_bytes + self.pending_bytes
+
+    def release(self, log) -> None:
+        """Fire the event a safe-mode hold on ``log`` waits for."""
+        event = self.done_events.pop(log.seq, None)
+        if event is not None:
+            event.succeed()
+
+    # -- validator-loop steps both planes share, in the order they run --
+    def decide(self, log, now: float):
+        """Feed the sampler its load signal, then ask it about ``log`` (§3.5)."""
+        prof, sampler, config = self.prof, self.sampler, self.config
+        t0 = prof.now() if prof.enabled else 0
+        if config.memory_budget_bytes is not None:
+            sampler.observe_memory(self.memory_in_use(), config.memory_budget_bytes)
+        else:
+            sampler.observe_delay(now - log.enqueue_time)
+        decision = sampler_decision(sampler, log, now)
+        if prof.enabled:
+            prof.lap("sampler.decide", t0)
+        return decision
+
+    def decision_metrics(self, log, now: float, decision) -> None:
+        """Queue delay at dispatch, plus the sampler verdict (None: a canary)."""
+        registry = self.obs.registry
+        registry.histogram(
+            "orthrus_queue_delay_seconds",
+            help="log age (enqueue to dequeue) at each validator dispatch",
+        ).record(now - log.enqueue_time)
+        if decision is not None:
+            registry.counter(
+                "orthrus_sampler_decisions_total",
+                {
+                    "decision": "validate" if decision.validate else "skip",
+                    "reason": decision.reason,
+                },
+                help="sampler verdicts by outcome and reason",
+            ).inc()
+
+    def output_bytes(self, log) -> int:
+        """The log plus the versions it created: what the comparison reads.
+
+        Significant for Phoenix's container-sized outputs, negligible for
+        KV items.  Taken before re-execution, which may reclaim the versions.
+        """
+        heap = self.runtime.heap
+        output_bytes = log.approx_bytes()
+        for vid in log.output_versions:
+            try:
+                output_bytes += heap.version(vid).size
+            except Exception:
+                pass
+        return output_bytes
+
+    def validation_cycles(self, core, log, work_cycles, output_bytes) -> float:
+        """Busy cycles for one validation on ``core``: dispatch, the
+        re-execution work, a bitwise compare of the outputs, and a
+        cross-NUMA penalty when the log and its versions are cold in this
+        core's L3 (§3.5 prefers same-node placement).  Canary probes carry
+        a synthetic app core (-1), so no NUMA placement applies to them."""
+        costs = self.config.costs
+        busy = costs.validation_dispatch_cycles + work_cycles
+        busy += costs.compare_cycles_per_byte * output_bytes
+        if log.core_id >= 0 and (
+            self.machine.core(log.core_id).numa_node != core.numa_node
+        ):
+            busy += costs.cross_numa_penalty_cycles
+        return busy
+
+    def credit(self, log) -> None:
+        """An organic log's verdict just landed: feed the sampler, the
+        latency-driven scaling stats and the coverage metrics."""
+        now = self.env.now
+        self.sampler.on_validated(log, now)
+        latency = now - log.enqueue_time
+        self.metrics.validation_latency.add(latency)
+        self.runtime.latency.record(log.closure_name, latency)
+        self.metrics.validated += 1
+
+    def verdict_spans(self, log, now: float, core_id: int, passed, **attrs) -> None:
+        """The causal chain from dequeue (``now``) to the verdict (now)
+        tiles: dispatch covers the fixed dispatch cost, validate the
+        re-execution and comparison (plus any cross-NUMA penalty)."""
+        spans, end = self.obs.spans, self.env.now
+        dispatched = now + self.dispatch_s
+        spans.record(
+            "dispatch", log.seq, now, dispatched,
+            closure=log.closure_name, core=core_id,
+        )
+        spans.record(
+            "validate", log.seq, dispatched, end,
+            closure=log.closure_name, core=core_id, **attrs,
+        )
+        spans.record(
+            "verdict", log.seq, end, end, closure=log.closure_name, passed=passed
+        )
 
 
 def validator_process(
-    env: Environment,
-    core,
-    runtime: OrthrusRuntime,
-    sampler,
-    log_store: Store,
-    pending_bytes: list[int],
-    done_events: dict[int, Any],
-    metrics: RunMetrics,
-    config: PipelineConfig,
-    memory_in_use: Callable[[], float],
-    on_step: Callable[[], None] = lambda: None,
-    deadline: list[float] | None = None,
-    drift=None,
-    exposure=None,
+    run: OrthrusRun, core, log_store: Store, on_step: Callable[[], None] = lambda: None
 ):
-    """One Orthrus validation core: dequeue → sample → re-execute (§3.3).
+    """One shared-store validation core: dequeue → sample → re-execute (§3.3).
 
-    Shared between the server and Phoenix drivers.  Ends when it dequeues
-    the shutdown sentinel.  Logs dequeued past ``deadline`` (the end of
-    the timely-detection window) are dropped unvalidated.
+    Shared between :class:`SharedStorePlane` and the Phoenix driver.  Ends
+    when it dequeues the shutdown sentinel.  Logs dequeued past
+    ``run.deadline`` (the end of the timely-detection window) are skipped
+    unvalidated.  The verdict comes first and the core then stays busy
+    for its cost.
     """
-    obs = runtime.obs
-    prof = active()
-    decide = getattr(sampler, "decide", None)
-    dispatch_s = config.costs.seconds(config.costs.validation_dispatch_cycles)
-    stale_s = _exposure_staleness(sampler)
+    env, runtime, metrics, obs = run.env, run.runtime, run.metrics, run.obs
+    release = run.release
+    drift, exposure, stale_s = run.drift, run.exposure, run.stale_s
+    costs = run.config.costs
     while True:
         log = yield log_store.get()
         if log is _SENTINEL:
             return
-        pending_bytes[0] -= log.approx_bytes()
+        run.pending_bytes -= log.approx_bytes()
         now = env.now
-        if deadline is not None and now > deadline[0]:
+        if now > run.deadline:
             if obs.enabled:
                 obs.registry.counter(
                     "orthrus_deadline_drops_total",
@@ -331,68 +467,31 @@ def validator_process(
                     "deadline",
                     (now - log.enqueue_time) + stale_s,
                 )
-            event = done_events.pop(log.seq, None)
-            if event is not None:
-                event.succeed()
+            release(log)
             continue
         if is_canary_log(log):
             # Canary probes bypass the sampler — a skipped canary proves
-            # nothing — and stay out of the run's coverage metrics.  Their
-            # app core is synthetic (-1), so no NUMA placement applies.
+            # nothing — and stay out of the run's coverage metrics.
             outcome = runtime.validator.validate(log, core)
             if drift is not None:
                 drift.verdict(core.core_id)
-            busy = config.costs.validation_dispatch_cycles + outcome.val_cycles
-            busy += config.costs.compare_cycles_per_byte * log.approx_bytes()
-            yield env.timeout(config.costs.seconds(busy))
+            busy = run.validation_cycles(
+                core, log, outcome.val_cycles, log.approx_bytes()
+            )
+            yield env.timeout(costs.seconds(busy))
             log.validated_time = env.now
             if obs.enabled:
                 obs.spans.record(
                     "queue.wait", log.seq, log.enqueue_time, now,
                     closure=log.closure_name,
                 )
-                obs.spans.record(
-                    "dispatch", log.seq, now, now + dispatch_s,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "validate", log.seq, now + dispatch_s, env.now,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "verdict", log.seq, env.now, env.now,
-                    closure=log.closure_name, passed=outcome.passed,
-                )
-            event = done_events.pop(log.seq, None)
-            if event is not None:
-                event.succeed()
+                run.verdict_spans(log, now, core.core_id, outcome.passed)
+            release(log)
             on_step()
             continue
-        t0 = prof.now() if prof.enabled else 0
-        if config.memory_budget_bytes is not None:
-            sampler.observe_memory(memory_in_use(), config.memory_budget_bytes)
-        else:
-            sampler.observe_delay(now - log.enqueue_time)
-        decision = (
-            decide(log, now)
-            if decide is not None
-            else sampler_decision(sampler, log, now)
-        )
-        if prof.enabled:
-            prof.lap("sampler.decide", t0)
+        decision = run.decide(log, now)
         if obs.enabled:
-            obs.registry.histogram(
-                "orthrus_queue_delay_seconds",
-                help="log age (enqueue to dequeue) at each validator dispatch",
-            ).record(now - log.enqueue_time)
-            obs.registry.counter(
-                "orthrus_sampler_decisions_total",
-                {
-                    "decision": "validate" if decision.validate else "skip",
-                    "reason": decision.reason,
-                },
-                help="sampler verdicts by outcome and reason",
-            ).inc()
+            run.decision_metrics(log, now, decision)
             obs.tracer.emit(
                 "sampler.decision",
                 ts=now,
@@ -401,57 +500,25 @@ def validator_process(
                 seq=log.seq,
                 validate=decision.validate,
                 reason=decision.reason,
-                rate=getattr(sampler, "rate", 1.0),
+                rate=getattr(run.sampler, "rate", 1.0),
             )
             obs.spans.record(
                 "queue.wait", log.seq, log.enqueue_time, now,
                 closure=log.closure_name,
             )
         if decision.validate:
-            # Comparison cost covers the actual output payloads (bitwise
-            # memcmp over the created versions) — significant for Phoenix's
-            # container-sized outputs, negligible for KV items.
-            output_bytes = log.approx_bytes()
-            for vid in log.output_versions:
-                try:
-                    output_bytes += runtime.heap.version(vid).size
-                except Exception:
-                    pass
+            output_bytes = run.output_bytes(log)
             outcome = runtime.validator.validate(log, core)
             if drift is not None:
                 drift.verdict(core.core_id)
             if runtime.responder is not None:
                 runtime.responder.on_outcome(outcome)
-            busy = config.costs.validation_dispatch_cycles + outcome.val_cycles
-            busy += config.costs.compare_cycles_per_byte * output_bytes
-            app_core = runtime.machine.core(log.core_id)
-            if app_core.numa_node != core.numa_node:
-                # Cross-socket validation: the log and its versions are
-                # cold in this core's L3 (§3.5 prefers same-node placement).
-                busy += config.costs.cross_numa_penalty_cycles
-            yield env.timeout(config.costs.seconds(busy))
+            busy = run.validation_cycles(core, log, outcome.val_cycles, output_bytes)
+            yield env.timeout(costs.seconds(busy))
             log.validated_time = env.now
-            sampler.on_validated(log, env.now)
-            latency = env.now - log.enqueue_time
-            metrics.validation_latency.add(latency)
-            runtime.latency.record(log.closure_name, latency)
-            metrics.validated += 1
+            run.credit(log)
             if obs.enabled:
-                # The causal chain tiles: dispatch covers the fixed
-                # dispatch cost, validate the re-execution + comparison
-                # (+ any cross-NUMA penalty) up to the verdict instant.
-                obs.spans.record(
-                    "dispatch", log.seq, now, now + dispatch_s,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "validate", log.seq, now + dispatch_s, env.now,
-                    closure=log.closure_name, core=core.core_id,
-                )
-                obs.spans.record(
-                    "verdict", log.seq, env.now, env.now,
-                    closure=log.closure_name, passed=outcome.passed,
-                )
+                run.verdict_spans(log, now, core.core_id, outcome.passed)
         else:
             runtime.validator.skip(log)
             if exposure is not None:
@@ -461,11 +528,9 @@ def validator_process(
                     "skip", log.seq, now, now,
                     closure=log.closure_name, reason=decision.reason,
                 )
-            yield env.timeout(config.costs.seconds(config.costs.skip_cycles))
+            yield env.timeout(costs.seconds(costs.skip_cycles))
             metrics.skipped += 1
-        event = done_events.pop(log.seq, None)
-        if event is not None:
-            event.succeed()
+        release(log)
         on_step()
 
 
@@ -480,10 +545,7 @@ def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
 
 def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
+    prof, env = _profiled_environment()
     machine = config.build_machine()
     app_cores = list(range(config.app_threads))
     runtime = OrthrusRuntime(
@@ -529,20 +591,7 @@ def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             yield env.timeout(config.costs.seconds(cycles))
             metrics.request_latency.add(env.now - began)
             metrics.operations += 1
-            t0 = prof.now() if prof.enabled else 0
-            extra = (
-                server.resident_bytes_extra()
-                if hasattr(server, "resident_bytes_extra")
-                else 0
-            )
-            metrics.peak_live_bytes = max(
-                metrics.peak_live_bytes, runtime.heap.live_bytes + extra
-            )
-            metrics.peak_versioned_bytes = max(
-                metrics.peak_versioned_bytes, runtime.heap.versioned_bytes + extra
-            )
-            if prof.enabled:
-                prof.lap("memory.size", t0)
+            _track_memory(prof, metrics, runtime.heap, server)
 
     threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
     env.run(until=env.all_of(threads))
@@ -557,26 +606,127 @@ def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
 # ----------------------------------------------------------------------
 # Orthrus
 # ----------------------------------------------------------------------
-def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    """The Orthrus deployment: logging + asynchronous sampled validation."""
-    if config.fault_tolerance is not None or config.validator_faults is not None:
-        # The fault-tolerant validation plane (bounded queues + watchdog +
-        # degradation ladder) lives in its own driver.
-        from repro.harness.chaos import run_chaos_server
+class SharedStorePlane:
+    """The reliable validation plane: one work-conserving shared store
+    (equivalent to per-core queues with stealing) drained by immortal
+    validator processes, with §3.5 dynamic scaling.  Shutdown hands each
+    validator a sentinel; logs dequeued past the drain deadline are
+    skipped."""
 
-        return run_chaos_server(scenario, n_ops, config)
+    label = "driver.orthrus"
+
+    def __init__(self, run: OrthrusRun):
+        self.run = run
+        self.store = Store(run.env)
+        self.validators: list[Any] = []
+        if run.obs.enabled:
+            # The shared log store is the pipeline's (work-conserving)
+            # analogue of the per-core queues; expose its depth the same way.
+            run.obs.registry.gauge(
+                "orthrus_log_store_depth",
+                help="pending closure logs in the shared validation store",
+            ).set_function(lambda: float(len(self.store)))
+
+    def submit(self, log, **where):
+        run = self.run
+        now = run.env.now
+        log.enqueue_time = now
+        run.pending_bytes += log.approx_bytes()
+        self.store.put(log)
+        obs = run.obs
+        if obs.enabled:
+            # Closure execution plus the control path up to the simulated
+            # enqueue, so queue.wait tiles against it exactly.
+            obs.spans.record(
+                "closure.run", log.seq, log.start_time, now,
+                closure=log.closure_name, **where,
+            )
+            if not is_canary_log(log):
+                # only organic traffic counts as queue pushes
+                obs.registry.counter(
+                    "orthrus_queue_pushes_total", {"queue": "store"},
+                    help="closure logs enqueued for validation",
+                ).inc()
+                obs.tracer.emit(
+                    "queue.push",
+                    ts=now,
+                    queue="store",
+                    seq=log.seq,
+                    closure=log.closure_name,
+                    depth=len(self.store),
+                )
+        yield from ()  # never blocks: the store is unbounded
+
+    def _spawn(self, core_id: int) -> None:
+        run = self.run
+        self.validators.append(run.env.process(validator_process(
+            run, run.machine.core(core_id), self.store, on_step=run.track_memory
+        )))
+
+    def start(self) -> None:
+        run = self.run
+        if not run.config.dynamic_scaling:
+            for core_id in run.val_cores:
+                self._spawn(core_id)
+            return
+        # §3.5 dynamic scaling: one validation thread to start; the
+        # scheduler launches another whenever some closure's recent
+        # validation latency runs 50% above the global average, up to the
+        # configured core budget.
+        self._spawn(run.val_cores[0])
+        reserve = list(run.val_cores[1:])
+
+        def scaling_monitor():
+            while reserve and not run.apps_done:
+                yield run.env.timeout(5e-6)
+                if run.runtime.latency.closures_needing_help():
+                    self._spawn(reserve.pop(0))
+
+        run.env.process(scaling_monitor())
+
+    def probes_done(self, canaries_outstanding: int = 0) -> bool:
+        return self.run.apps_done and canaries_outstanding == 0
+
+    def drain(self):
+        for _ in self.validators:
+            self.store.put(_SENTINEL)
+        yield self.run.env.all_of(self.validators)
+
+    def finish(self, result: RunResult) -> None:
+        pass
+
+
+def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
+    """The Orthrus deployment: logging + asynchronous sampled validation.
+
+    ``fault_tolerance`` or ``validator_faults`` selects the fault-tolerant
+    validation plane (:mod:`repro.harness.chaos`); otherwise validators
+    drain the reliable shared store.
+    """
+    if config.fault_tolerance is None and config.validator_faults is None:
+        plane = SharedStorePlane
+    else:
+        from repro.harness.chaos import FaultTolerantPlane as plane
+    return _run_orthrus(scenario, n_ops, config, plane)
+
+
+def _run_orthrus(scenario, n_ops: int, config: PipelineConfig, plane) -> RunResult:
+    """Run the Orthrus deployment on the given validation plane class."""
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
+    if config.dynamic_scaling and plane is not SharedStorePlane:
+        raise ConfigurationError(
+            "dynamic_scaling needs the shared validation plane; the "
+            "fault-tolerant plane runs every validation core from the start"
+        )
     return _with_profiler(
-        config, "driver.orthrus", lambda: _run_orthrus_impl(scenario, n_ops, config)
+        config, plane.label,
+        lambda: _run_orthrus_impl(scenario, n_ops, config, plane),
     )
 
 
-def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
+def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
+    prof, env = _profiled_environment()
     machine = config.build_machine()
     app_cores = list(range(config.app_threads))
     val_cores = [config.app_threads + i for i in range(config.validation_cores)]
@@ -613,20 +763,33 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
     metrics = RunMetrics()
     result = RunResult(metrics=metrics, runtime=runtime)
     responses_by_index: dict[int, Any] = {}
-
-    log_store = Store(env)
-    pending_bytes = [0]
     request_logs: list[ClosureLog] = []
     runtime._on_log = request_logs.append
-    done_events: dict[int, Any] = {}
-    if obs.enabled:
-        # The shared log store is the pipeline's (work-conserving) analogue
-        # of the per-core queues; expose its depth the same way.
-        obs.registry.gauge(
-            "orthrus_log_store_depth",
-            help="pending closure logs in the shared validation store",
-        ).set_function(lambda: float(len(log_store)))
-    drift, exposure = _audit_setup(config, sampler, metrics, obs)
+
+    run = OrthrusRun(
+        env, config, scenario, machine, runtime, server, sampler, metrics, val_cores
+    )
+    plane = plane_cls(run)
+    drift = exposure = None
+    if config.audit is not None:
+        # The declared coverage floor defaults to the sampler's configured
+        # minimum rate: the contract the drift probe holds observed
+        # organic coverage against.
+        audit_cfg = AuditConfig() if config.audit is True else config.audit
+        exposure = ExposureLedger(registry=obs.registry if obs.enabled else None)
+        drift = DriftMonitor(
+            audit_cfg,
+            declared_pool=config.validation_cores,
+            coverage_floor=float(
+                getattr(getattr(sampler, "config", None), "min_rate", 0.0)
+            ),
+            metrics=metrics,
+            obs=obs,
+            exposure=exposure,
+        )
+    run.drift, run.exposure = drift, exposure
+    done_events = run.done_events
+    safe_policy = run.safe_policy
     recorder = None
     slo_monitor = None
     if config.timeseries is not None and obs.enabled:
@@ -647,28 +810,9 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             report=runtime.report,
         )
 
-    def track_memory() -> None:
-        t0 = prof.now() if prof.enabled else 0
-        extra = (
-            server.resident_bytes_extra()
-            if hasattr(server, "resident_bytes_extra")
-            else 0
-        )
-        metrics.peak_live_bytes = max(
-            metrics.peak_live_bytes, runtime.heap.live_bytes + extra
-        )
-        metrics.peak_versioned_bytes = max(
-            metrics.peak_versioned_bytes,
-            runtime.heap.versioned_bytes + pending_bytes[0] + extra,
-        )
-        if prof.enabled:
-            prof.lap("memory.size", t0)
-
-    def memory_in_use() -> float:
-        return runtime.heap.versioned_bytes + pending_bytes[0]
-
     def app_thread(thread_id: int):
         core = machine.core(thread_id)
+        submit = plane.submit
         for index in range(thread_id, len(ops), config.app_threads):
             began = env.now
             before = core.total_cycles
@@ -686,40 +830,14 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             yield env.timeout(config.costs.seconds(cycles))
             hold: list[Any] = []
             for log in logs:
-                log.enqueue_time = env.now
-                pending_bytes[0] += log.approx_bytes()
                 event = env.event()
                 done_events[log.seq] = event
-                if config.safe_mode and log.closure_name in scenario.externalizing:
+                if safe_policy.must_hold(log.closure_name):
                     hold.append(event)
-                log_store.put(log)
-                if obs.enabled:
-                    # Driver-side span: closure execution plus the control
-                    # path up to the simulated enqueue, so queue.wait tiles
-                    # against it exactly.
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                        core=thread_id,
-                    )
-                    obs.registry.counter(
-                        "orthrus_queue_pushes_total", {"queue": "store"},
-                        help="closure logs enqueued for validation",
-                    ).inc()
-                    obs.tracer.emit(
-                        "queue.push",
-                        ts=env.now,
-                        queue="store",
-                        seq=log.seq,
-                        closure=log.closure_name,
-                        depth=len(log_store),
-                    )
+                yield from submit(log, core=thread_id)
             if hold:
-                # Strict safe mode: withhold externalizing results until
-                # their closures validate (§3.5).
+                # Safe mode (static or SAFE_HOLD-engaged): withhold
+                # externalizing results until their logs settle (§3.5).
                 yield env.all_of(hold)
             metrics.request_latency.add(env.now - began)
             metrics.operations += 1
@@ -731,58 +849,15 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
                     "orthrus_request_latency_seconds",
                     help="request begin to response (incl. safe-mode holds)",
                 ).record(env.now - began)
-            track_memory()
+            run.track_memory()
 
     threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
-    deadline = [float("inf")]
-    validators: list[Any] = []
-
-    def spawn_validator(core_id: int) -> None:
-        validators.append(
-            env.process(
-                validator_process(
-                    env=env,
-                    core=machine.core(core_id),
-                    runtime=runtime,
-                    sampler=sampler,
-                    log_store=log_store,
-                    pending_bytes=pending_bytes,
-                    done_events=done_events,
-                    metrics=metrics,
-                    config=config,
-                    memory_in_use=memory_in_use,
-                    on_step=track_memory,
-                    deadline=deadline,
-                    drift=drift,
-                    exposure=exposure,
-                )
-            )
-        )
-
-    apps_done = [False]
-    if config.dynamic_scaling:
-        # §3.5 dynamic scaling: one validation thread to start; the
-        # scheduler launches another whenever some closure's recent
-        # validation latency runs 50% above the global average, up to the
-        # configured core budget.
-        spawn_validator(val_cores[0])
-        reserve = list(val_cores[1:])
-
-        def scaling_monitor():
-            while reserve and not apps_done[0]:
-                yield env.timeout(5e-6)
-                if runtime.latency.closures_needing_help():
-                    spawn_validator(reserve.pop(0))
-
-        env.process(scaling_monitor())
-    else:
-        for cid in val_cores:
-            spawn_validator(cid)
+    plane.start()
 
     if recorder is not None:
         # A dedicated virtual-time sampling process: telemetry must tick
-        # even while every app thread is blocked (safe-mode holds, RBV-ish
-        # stalls) — that is exactly when queue depth and lag are
+        # even while every app thread is blocked (safe-mode holds,
+        # backpressure) — that is exactly when queue depth and lag are
         # interesting.  The loop is simply abandoned when the coordinator
         # fires; its one pending timeout dies with the environment.
         def telemetry_process():
@@ -800,35 +875,26 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             drift.attach_canary(canary_monitor)
 
         def canary_issuer():
-            # Mint known-corrupt probes through the same store the organic
-            # traffic uses; liveness of the whole validation plane — not
-            # just of one component — is what the canary measures.
+            # Mint known-corrupt probes through the same plane the organic
+            # traffic uses: liveness of the whole validation plane — not
+            # just of one component — is what the canary measures, and
+            # whatever strands real logs strands them too.
             while True:
                 yield env.timeout(config.canary.period)
-                if apps_done[0]:
+                if run.apps_done:
                     return
                 runtime._seq += 1
                 log = canary_sched.next_log(runtime._seq, env.now)
                 canary_monitor.issue(log, env.now)
-                log.enqueue_time = env.now
-                pending_bytes[0] += log.approx_bytes()
                 done_events[log.seq] = env.event()
-                if obs.enabled:
-                    obs.spans.record(
-                        "closure.run",
-                        log.seq,
-                        log.start_time,
-                        env.now,
-                        closure=log.closure_name,
-                    )
-                log_store.put(log)
+                yield from plane.submit(log)
 
         def canary_poller():
             step = config.canary.deadline / 4
             while True:
                 yield env.timeout(step)
                 canary_monitor.poll(env.now)
-                if apps_done[0] and canary_monitor.outstanding == 0:
+                if plane.probes_done(canary_monitor.outstanding):
                     return
 
         env.process(canary_issuer())
@@ -842,19 +908,17 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
             while True:
                 yield env.timeout(drift.config.cadence)
                 drift.probe(env.now)
-                if apps_done[0]:
+                if plane.probes_done():
                     return
 
         env.process(audit_probe_process())
 
     def coordinator():
         yield env.all_of(threads)
-        apps_done[0] = True
+        run.apps_done = True
         metrics.duration = env.now
-        deadline[0] = env.now * (1 + config.drain_grace_fraction)
-        for _ in validators:
-            log_store.put(_SENTINEL)
-        yield env.all_of(validators)
+        run.deadline = env.now * (1 + config.drain_grace_fraction)
+        yield from plane.drain()
 
     env.run(until=env.process(coordinator()))
     metrics.detections = runtime.detections
@@ -876,6 +940,7 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
         result.slo = slo_monitor.finalize(env.now)
     if responder is not None and not result.crashed:
         result.incident = responder.finalize()
+    plane.finish(result)
     result.digest = server.state_digest() if not result.crashed else None
     if prof.enabled:
         _finish_profile(prof, env, [machine])
@@ -899,10 +964,7 @@ def run_rbv_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
 
 
 def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof = active()
-    env = Environment()
-    if prof.enabled:
-        env.profiler = prof
+    prof, env = _profiled_environment()
     costs = config.costs
     batch_size = config.rbv_batch_size or costs.rbv_batch_size
 

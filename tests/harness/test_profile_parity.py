@@ -11,13 +11,18 @@ byte-identical digests and verdict counts every time.
 import pytest
 
 from repro.harness.chaos import run_chaos_server
+from repro.harness.phoenix import run_phoenix
 from repro.harness.pipeline import (
     PipelineConfig,
     run_orthrus_server,
     run_rbv_server,
     run_vanilla_server,
 )
-from repro.harness.scenarios import lsmtree_scenario, memcached_scenario
+from repro.harness.scenarios import (
+    lsmtree_scenario,
+    memcached_scenario,
+    phoenix_scenario,
+)
 from repro.obs import NULL_PROFILER, PROFILE_FORMAT, ProfileConfig, active
 from repro.runtime.degradation import FaultToleranceConfig
 
@@ -86,6 +91,27 @@ class TestPipelineParity:
         assert rbv.profile["instructions"] > orthrus.profile["instructions"]
 
 
+class TestPhoenixParity:
+    @pytest.mark.parametrize("variant", ["orthrus", "vanilla", "rbv"])
+    def test_phoenix_digest_identical_with_profiler(self, variant):
+        def job(profile):
+            config = PipelineConfig(app_threads=4, seed=2, profile=profile)
+            return run_phoenix(phoenix_scenario(), 4000, config, variant=variant)
+
+        bare, profiled = job(None), job(True)
+        assert bare.digest is not None
+        assert bare.digest == profiled.digest
+        assert bare.metrics.duration == profiled.metrics.duration
+        assert bare.metrics.validated == profiled.metrics.validated
+        assert bare.profile is None
+        payload = profiled.profile
+        assert payload["format"] == PROFILE_FORMAT
+        roots = {node["path"].split(";")[0] for node in payload["nodes"]}
+        assert roots == {"driver.phoenix"}
+        assert payload["events"] > 0
+        assert payload["instructions"] > 0
+
+
 class TestChaosParity:
     def test_chaos_digest_identical_with_profiler(self):
         ft = FaultToleranceConfig()
@@ -113,7 +139,7 @@ class TestChaosParity:
         }
 
     def test_orthrus_delegation_labels_chaos_driver(self):
-        # run_orthrus_server routes to the chaos driver when fault
+        # run_orthrus_server runs the fault-tolerant plane when fault
         # tolerance is configured; the profile root must say so.
         result = run(fault_tolerance=FaultToleranceConfig(), profile=True)
         roots = {

@@ -93,6 +93,19 @@ class TestOpsBoundary:
         assert "self-profile" in capsys.readouterr().out
 
 
+class TestProfilePhoenix:
+    def test_phoenix_profile_prints_self_profile(self, tmp_path, capsys):
+        out = tmp_path / "profile.json"
+        assert main(
+            ["profile", "--app", "phoenix", "--ops", "4000", "--out", str(out)]
+        ) == 0
+        table = capsys.readouterr().out
+        assert "self-profile" in table
+        assert "driver.phoenix" in table
+        payload = json.loads(out.read_text())
+        assert "driver.phoenix" in {s["name"] for s in payload["subsystems"]}
+
+
 class TestProfileMemoryScopes:
     def test_lsmtree_profile_names_memory_size_and_checksum(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
