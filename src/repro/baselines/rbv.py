@@ -16,8 +16,11 @@ This functional model captures RBV's detection behaviour:
 * it compares externally visible responses per request plus periodic state
   digests (the classic replicated-state-machine output/state check).
 
-Timing (network transfer, batching stalls, tail latency) is charged by the
-benchmark harness; this module is the functional engine it drives.
+This is a standalone functional model with no notion of time.  The
+virtual-time drivers (``run_rbv_server`` in :mod:`repro.harness.pipeline`
+and the Phoenix RBV variant in :mod:`repro.harness.phoenix`) do not use
+it: they model the replica server, batching, network transfer and lag
+stalls themselves.
 """
 
 from __future__ import annotations

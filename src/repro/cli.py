@@ -484,10 +484,7 @@ def _finish_fault_tolerance(result, args) -> int:
     degradation state is SAFE_HOLD (the run ended still holding
     externalizing closures), else 0.
     """
-    ft = getattr(result, "ft", None)
-    if ft is None:
-        print("fault tolerance    : (runner does not attach the chaos plane)")
-        return int(ExitCode.OK)
+    ft = result.ft
     ledger = ft.ledger
     print(
         f"log conservation   : {ledger['enqueued']} in = "
@@ -717,38 +714,60 @@ def cmd_doctor(args) -> int:
     return int(ExitCode.OK) if report.ok else int(ExitCode.FAILURE)
 
 
-def cmd_perf(args) -> int:
-    scenario, orthrus, vanilla, rbv, default_size = _resolve(args.app)
-    size = _workload_size(args, default_size)
-    obs = _make_obs(args)
-    timeseries, slos = _timeseries_setup(args)
-    ft, chaos = _fault_tolerance_setup(args)
-    canary = _canary_config(args)
-    profile = _profile_config(args)
-    audit = _audit_enabled(args)
-    config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, profile=None, \
-            audit=None: PipelineConfig(
+def _pipeline_config(args, **arm) -> PipelineConfig:
+    """The :class:`PipelineConfig` the shared run flags describe, plus the
+    knobs one deployment arm adds."""
+    return PipelineConfig(
         app_threads=args.threads,
         validation_cores=args.cores,
         seed=args.seed,
+        **arm,
+    )
+
+
+def _orthrus_arm(args) -> dict:
+    """The Orthrus arm's knobs from the telemetry, response,
+    fault-tolerance, canary, profiling and audit flags."""
+    obs = _make_obs(args)
+    timeseries, slos = _timeseries_setup(args)
+    ft, chaos = _fault_tolerance_setup(args)
+    return dict(
         obs=obs,
-        response=response,
+        response=_response_config(args),
         timeseries=timeseries,
         slos=slos,
         fault_tolerance=ft,
         validator_faults=chaos,
-        canary=canary,
-        profile=profile,
-        audit=audit,
+        canary=_canary_config(args),
+        profile=_profile_config(args),
+        audit=_audit_enabled(args),
     )
-    v = vanilla(scenario, size, config())
-    o = orthrus(
-        scenario, size,
-        config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, profile, audit),
-    )
-    r = rbv(scenario, size, config())
+
+
+def _report_orthrus(o, args, arm: dict) -> int:
+    """Print and export what the Orthrus arm's flags asked for; returns
+    the exit status."""
+    if args.quarantine:
+        _print_response(o)
+    if arm["canary"] is not None:
+        _print_canary(o)
+    rc = 0
+    if arm["fault_tolerance"] is not None:
+        rc = _finish_fault_tolerance(o, args)
+    rc = rc or _finish_audit(o, args)
+    _report_timeline(o, args)
+    _export_obs(arm["obs"], args, o.metrics)
+    _export_profile(o.profile, args)
+    return rc
+
+
+def cmd_perf(args) -> int:
+    scenario, orthrus, vanilla, rbv, default_size = _resolve(args.app)
+    size = _workload_size(args, default_size)
+    arm = _orthrus_arm(args)
+    v = vanilla(scenario, size, _pipeline_config(args))
+    o = orthrus(scenario, size, _pipeline_config(args, **arm))
+    r = rbv(scenario, size, _pipeline_config(args))
     if args.app == "phoenix":
         base = v.metrics.duration
         print(f"vanilla job time : {base * 1e3:.3f} ms")
@@ -760,68 +779,21 @@ def cmd_perf(args) -> int:
         print(f"rbv overhead       : {100 * slowdown(v.metrics.throughput, r.metrics.throughput):.1f}%")
     print(f"orthrus memory ovh : {100 * o.metrics.memory_overhead:.1f}%")
     print(f"validated/skipped  : {o.metrics.validated}/{o.metrics.skipped}")
-    if args.quarantine:
-        _print_response(o)
-    if canary is not None:
-        _print_canary(o)
-    rc = 0
-    if ft is not None or chaos is not None:
-        rc = _finish_fault_tolerance(o, args)
-    rc = rc or _finish_audit(o, args)
-    _report_timeline(o, args)
-    _export_obs(obs, args, o.metrics)
-    _export_profile(getattr(o, "profile", None), args)
-    return rc
+    return _report_orthrus(o, args, arm)
 
 
 def cmd_latency(args) -> int:
     scenario, orthrus, _vanilla, rbv, default_size = _resolve(args.app)
     size = _workload_size(args, default_size)
-    obs = _make_obs(args)
-    timeseries, slos = _timeseries_setup(args)
-    ft, chaos = _fault_tolerance_setup(args)
-    canary = _canary_config(args)
-    profile = _profile_config(args)
-    audit = _audit_enabled(args)
-    config = lambda obs=None, response=None, timeseries=None, slos=None, \
-            ft=None, chaos=None, canary=None, profile=None, \
-            audit=None: PipelineConfig(
-        app_threads=args.threads,
-        validation_cores=args.cores,
-        seed=args.seed,
-        obs=obs,
-        response=response,
-        timeseries=timeseries,
-        slos=slos,
-        fault_tolerance=ft,
-        validator_faults=chaos,
-        canary=canary,
-        profile=profile,
-        audit=audit,
-    )
-    o = orthrus(
-        scenario, size,
-        config(obs, _response_config(args), timeseries, slos, ft, chaos,
-               canary, profile, audit),
-    )
-    r = rbv(scenario, size, config())
+    arm = _orthrus_arm(args)
+    o = orthrus(scenario, size, _pipeline_config(args, **arm))
+    r = rbv(scenario, size, _pipeline_config(args))
     ol, rl = o.metrics.validation_latency, r.metrics.validation_latency
     print(f"orthrus validation latency : mean {ol.mean * 1e6:.2f} us, p95 {ol.p95 * 1e6:.2f} us")
     print(f"rbv validation latency     : mean {rl.mean * 1e6:.2f} us, p95 {rl.p95 * 1e6:.2f} us")
     if ol.mean > 0:
         print(f"ratio                      : {rl.mean / ol.mean:.0f}x")
-    if args.quarantine:
-        _print_response(o)
-    if canary is not None:
-        _print_canary(o)
-    rc = 0
-    if ft is not None or chaos is not None:
-        rc = _finish_fault_tolerance(o, args)
-    rc = rc or _finish_audit(o, args)
-    _report_timeline(o, args)
-    _export_obs(obs, args, o.metrics)
-    _export_profile(getattr(o, "profile", None), args)
-    return rc
+    return _report_orthrus(o, args, arm)
 
 
 def cmd_coverage(args) -> int:
@@ -844,10 +816,8 @@ def cmd_coverage(args) -> int:
         # whole campaign (per-trial traces interleave in trial order).
         # auto_repair stays off under --quarantine: repairing before the
         # digest is taken would reclassify genuine SDC trials as masked.
-        make_pipeline=lambda: PipelineConfig(
-            app_threads=args.threads,
-            validation_cores=args.cores,
-            seed=args.seed,
+        make_pipeline=lambda: _pipeline_config(
+            args,
             drain_grace_fraction=args.grace,
             obs=obs,
             response=_response_config(args, auto_repair=False),
@@ -947,21 +917,16 @@ def cmd_respond(args) -> int:
     audit = _audit_enabled(args)
     stress = None
     ft_rc = 0
-    if ft is not None or chaos is not None or audit is not None:
+    if ft is not None or audit is not None:
         print("validation-plane stress arm:")
         stress = run_orthrus_server(
             scenario,
             n_ops,
-            PipelineConfig(
-                app_threads=args.threads,
-                validation_cores=args.cores,
-                seed=args.seed,
-                fault_tolerance=ft,
-                validator_faults=chaos,
-                audit=audit,
+            _pipeline_config(
+                args, fault_tolerance=ft, validator_faults=chaos, audit=audit
             ),
         )
-        if ft is not None or chaos is not None:
+        if ft is not None:
             ft_rc = _finish_fault_tolerance(stress, args)
         ft_rc = ft_rc or _finish_audit(stress, args)
     if args.json is not None:
@@ -1177,10 +1142,8 @@ def cmd_profile(args) -> int:
     size = _workload_size(args, default_size)
     result = orthrus(
         scenario, size,
-        PipelineConfig(
-            app_threads=args.threads,
-            validation_cores=args.cores,
-            seed=args.seed,
+        _pipeline_config(
+            args,
             profile=ProfileConfig(
                 sample=args.sample, sample_budget=args.sample_budget
             ),
@@ -1951,7 +1914,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ConfigurationError as exc:
+        # a structurally rejected config: one line, not a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return int(ExitCode.FAILURE)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ a :class:`~repro.validation.watchdog.ValidationWatchdog` that
 re-dispatches stranded logs, and a
 :class:`~repro.runtime.degradation.DegradationController` that walks the
 explicit degradation ladder instead of letting coverage rot silently.
-``run_orthrus_server`` selects it when ``PipelineConfig.fault_tolerance``
-or ``validator_faults`` is set; :func:`run_chaos_server` always does.
+:func:`~repro.harness.pipeline.validation_plane` selects it for both
+``run_orthrus_server`` and the Phoenix job when
+``PipelineConfig.fault_tolerance`` or ``validator_faults`` is set;
+:func:`run_chaos_server` always uses it.
 
 The plane's contract is *conservation*: every closure log produced by
 the application reaches exactly one terminal state — validated, skipped

@@ -7,7 +7,9 @@ deployment variant decides what runs beside them:
 
 * vanilla — nothing;
 * Orthrus — the closure logs (one per task, with large containers) feed
-  the shared validator cores, exercising the big-payload comparison path;
+  the same validation plane as the server drivers (the shared store, or
+  the fault-tolerant plane), exercising the big-payload comparison path;
+  under safe mode the final merge waits for every outstanding verdict;
 * RBV — each task's output container is serialized and forwarded to a
   replica that re-executes the whole job sequentially, which is where the
   paper's 51% throughput drop and ~513 ms validation latencies come from.
@@ -21,57 +23,46 @@ from repro.apps.phoenix.framework import map_task, reduce_task
 from repro.closures.log import ClosureLog
 from repro.machine.cpu import Machine
 from repro.memory.version import approx_size
-from repro.runtime.orthrus import OrthrusRuntime
-from repro.sim.events import SimClock, Store
+from repro.sim.events import Store
 from repro.sim.metrics import RunMetrics
 from repro.harness.pipeline import (
     OrthrusRun,
     PipelineConfig,
     RunResult,
-    _finish_profile,
+    _finish,
     _orthrus_overhead_cycles,
     _profiled_environment,
+    _runtime,
     _SENTINEL,
     _with_profiler,
-    validator_process,
+    validation_plane,
 )
 
 
-def _build_runtime(env, machine, config, orthrus: bool) -> OrthrusRuntime:
-    n_val = max(1, config.validation_cores) if orthrus else 1
-    return OrthrusRuntime(
-        machine=machine,
-        app_cores=list(range(config.app_threads)),
-        validation_cores=[config.app_threads + i for i in range(n_val)],
-        clock=SimClock(env),
-        mode="external",
-        checksums=orthrus,
-        hold_versions=orthrus,
-        reclaim_batch=4,
-        obs=config.obs if orthrus else None,
-    )
-
-
-def _run_tasks(env, runtime, machine, config, tasks, on_task_done,
-               extra_cycles=None, charge_overhead=True, crash=None):
+def _run_tasks(run: OrthrusRun, tasks, first_index: int, on_task_done, crash,
+               extra_cycles=None, plane=None):
     """Fan a list of thunks out over the app worker cores; returns the
-    barrier event.  Each thunk returns ``(result, logs)``; ``extra_cycles``
-    lets a deployment charge additional per-task work (RBV serialization).
-    A task that raises records the failure into ``crash`` (fail-stop) and
-    retires its worker."""
+    barrier event.  Each thunk returns ``(result, logs)``.  Under Orthrus
+    (``plane`` set) a task pays the per-closure logging overhead and then
+    submits its logs to the validation plane; ``extra_cycles`` lets a
+    deployment charge additional per-task work (RBV serialization).  A
+    task that raises records its exception into ``crash`` (fail-stop) and
+    the workers drain the remaining tasks unrun."""
+    env, config, runtime = run.env, run.config, run.runtime
+    costs = config.costs
     store = Store(env)
-    for index, task in enumerate(tasks):
+    for index, task in enumerate(tasks, first_index):
         store.put((index, task))
     for _ in range(config.app_threads):
         store.put(_SENTINEL)
 
     def worker(thread_id: int):
-        core = machine.core(thread_id)
+        core = run.machine.core(thread_id)
         while True:
             item = yield store.get()
             if item is _SENTINEL:
                 return
-            if crash is not None and crash:
+            if crash:
                 continue  # job is crashing; drain remaining tasks unrun
             index, thunk = item
             before = core.total_cycles
@@ -79,18 +70,21 @@ def _run_tasks(env, runtime, machine, config, tasks, on_task_done,
                 with runtime.bind_core(thread_id), runtime:
                     result, logs = thunk()
             except Exception as exc:
-                if crash is not None:
-                    crash.append(f"{type(exc).__name__}: {exc}")
+                crash.append(exc)
                 continue
             cycles = core.total_cycles - before
-            if charge_overhead:
-                cycles += sum(
-                    _orthrus_overhead_cycles(log, config.costs) for log in logs
-                )
+            if plane is not None:
+                cycles += sum(_orthrus_overhead_cycles(log, costs) for log in logs)
             if extra_cycles is not None:
                 cycles += extra_cycles(result)
-            yield env.timeout(config.costs.seconds(cycles))
-            on_task_done(index, result, logs, env.now)
+            yield env.timeout(costs.seconds(cycles))
+            if plane is not None:
+                for log in logs:
+                    if run.safe_policy.enabled:
+                        # the merge will wait for this log's verdict
+                        run.done_events[log.seq] = env.event()
+                    yield from plane.submit(log, core=thread_id)
+            on_task_done(index, result)
 
     return env.all_of(
         [env.process(worker(i)) for i in range(config.app_threads)]
@@ -103,20 +97,29 @@ def run_phoenix(
     config: PipelineConfig,
     variant: str = "orthrus",
 ) -> RunResult:
-    """Run the Phoenix word-count job under one deployment variant."""
+    """Run the Phoenix word-count job under one deployment variant.
+
+    The Orthrus variant runs on the validation plane
+    :func:`~repro.harness.pipeline.validation_plane` selects, exactly as
+    the server drivers do.
+    """
     if variant not in ("vanilla", "orthrus", "rbv"):
         raise ValueError(f"unknown variant {variant!r}")
+    plane = validation_plane(config) if variant == "orthrus" else None
     return _with_profiler(
         config, "driver.phoenix",
-        lambda: _run_phoenix_impl(scenario, n_words, config, variant),
+        lambda: _run_phoenix_impl(scenario, n_words, config, variant, plane),
     )
 
 
-def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: str):
-    prof, env = _profiled_environment()
+def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: str,
+                      plane_cls):
+    env = _profiled_environment()
     machine = config.build_machine()
-    orthrus = variant == "orthrus"
-    runtime = _build_runtime(env, machine, config, orthrus=orthrus)
+    orthrus = plane_cls is not None
+    n_val = config.validation_cores if orthrus else 1
+    val_cores = [config.app_threads + i for i in range(n_val)]
+    runtime = _runtime(env, machine, config, orthrus, val_cores, 4)
     job = scenario.build(runtime)
     phx = job.job
     for core_id, fault in config.deferred_faults:
@@ -128,19 +131,14 @@ def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: s
     captured_logs: list[ClosureLog] = []
     runtime._on_log = captured_logs.append
 
-    log_store = Store(env)
-    val_cores = [config.app_threads + i for i in range(config.validation_cores)]
     run = OrthrusRun(
         env, config, scenario, machine, runtime, job, config.make_sampler(),
         metrics, val_cores,
     )
-    done_events = run.done_events
-    validators = []
+    plane = None
     if orthrus:
-        validators = [
-            env.process(validator_process(run, machine.core(core_id), log_store))
-            for core_id in val_cores
-        ]
+        plane = plane_cls(run)
+        plane.start()
 
     # RBV replica: an independent second job instance replaying tasks.
     replica_runtime = None
@@ -151,46 +149,32 @@ def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: s
         replica_machine = Machine(
             cores_per_node=config.app_threads + 1, numa_nodes=1, seed=config.seed + 31
         )
-        replica_runtime = _build_runtime(env, replica_machine, config, orthrus=False)
+        replica_runtime = _runtime(
+            env, replica_machine, config, False, [config.app_threads], 4
+        )
         replica_job = scenario.build(replica_runtime)
 
-    def on_task_done(index, result_ptr, logs, now):
-        for log in logs:
-            log.enqueue_time = now
-            if orthrus:
-                run.pending_bytes += log.approx_bytes()
-                log_store.put(log)
+    #: task index (maps first, then reduces) -> output container pointer
+    outputs: dict[int, Any] = {}
+
+    def on_task_done(index, result_ptr):
+        outputs[index] = result_ptr
         if variant == "rbv" and result_ptr is not None:
             payload = runtime.heap.latest(result_ptr.obj_id).value
-            repl_store.put((index, payload, approx_size(payload), now))
-        metrics.peak_live_bytes = max(metrics.peak_live_bytes, runtime.heap.live_bytes)
-        metrics.peak_versioned_bytes = max(
-            metrics.peak_versioned_bytes,
-            runtime.heap.versioned_bytes + run.pending_bytes,
-        )
+            repl_store.put((index, payload, approx_size(payload), env.now))
+        run.track_memory()
 
-    def make_map_thunk(chunk_ptr):
+    def captured(task, *args):
+        """A thunk running ``task(*args)`` that returns its output and the
+        closure logs it produced."""
         def thunk():
             before = len(captured_logs)
-            out = map_task(phx.map_fn, chunk_ptr, phx.n_partitions)
+            out = task(*args)
             logs = captured_logs[before:]
             del captured_logs[before:]
             return out, logs
 
         return thunk
-
-    def make_reduce_thunk(containers, partition):
-        def thunk():
-            before = len(captured_logs)
-            out = reduce_task(phx.reduce_fn, containers, partition)
-            logs = captured_logs[before:]
-            del captured_logs[before:]
-            return out, logs
-
-        return thunk
-
-    map_results: dict[int, Any] = {}
-    reduce_results: dict[int, Any] = {}
 
     def rbv_extra(result_ptr):
         # RBV primary: replication bookkeeping plus serializing the task's
@@ -203,7 +187,7 @@ def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: s
 
     extra = rbv_extra if variant == "rbv" else None
 
-    crash: list[str] = []
+    crash: list[Exception] = []
 
     def driver():
         core = machine.core(0)
@@ -213,59 +197,42 @@ def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: s
             with runtime.bind_core(0), runtime:
                 chunk_ptrs = phx.split(chunks)
         except Exception as exc:
-            result.crashed = True
-            result.crash_reason = f"{type(exc).__name__}: {exc}"
-            metrics.duration = env.now
-            return
-        # (Under RBV the replica reads the same input dataset from shared
-        # storage — only task outputs are forwarded for comparison.)
-        split_cycles = core.total_cycles - before
-        yield env.timeout(config.costs.seconds(split_cycles))
-
-        def record_map(index, out, logs, now):
-            map_results[index] = out
-            on_task_done(index, out, logs, now)
-
-        map_tasks = [
-            make_map_thunk(chunk_ptr) for chunk_ptr in chunk_ptrs
-        ]
-        yield _run_tasks(env, runtime, machine, config, map_tasks, record_map,
-                         extra_cycles=extra, charge_overhead=orthrus, crash=crash)
+            crash.append(exc)
+        else:
+            # (Under RBV the replica reads the same input dataset from shared
+            # storage — only task outputs are forwarded for comparison.)
+            yield env.timeout(config.costs.seconds(core.total_cycles - before))
+            n_maps = len(chunk_ptrs)
+            map_tasks = [
+                captured(map_task, phx.map_fn, chunk_ptr, phx.n_partitions)
+                for chunk_ptr in chunk_ptrs
+            ]
+            yield _run_tasks(run, map_tasks, 0, on_task_done, crash, extra, plane)
         if crash:
-            result.crashed = True
-            result.crash_reason = crash[0]
+            result.fail(crash[0])
             metrics.duration = env.now
             return
 
-        containers = tuple(map_results[i] for i in range(len(map_tasks)))
-
-        def record_reduce(index, out, logs, now):
-            reduce_results[index] = out
-            on_task_done(len(map_tasks) + index, out, logs, now)
-
+        containers = tuple(outputs[i] for i in range(n_maps))
         reduce_tasks = [
-            make_reduce_thunk(containers, partition)
+            captured(reduce_task, phx.reduce_fn, containers, partition)
             for partition in range(phx.n_partitions)
         ]
-        yield _run_tasks(env, runtime, machine, config, reduce_tasks, record_reduce,
-                         extra_cycles=extra, charge_overhead=orthrus, crash=crash)
+        yield _run_tasks(run, reduce_tasks, n_maps, on_task_done, crash, extra, plane)
         if crash:
-            result.crashed = True
-            result.crash_reason = crash[0]
+            result.fail(crash[0])
             metrics.duration = env.now
             return
 
-        if config.safe_mode and orthrus:
+        if run.done_events:
             # Phoenix reveals results only at the end: safe mode means the
             # merge waits for every outstanding validation (§3.5).
-            holds = [event for event in done_events.values()]
-            if holds:
-                yield env.all_of(holds)
+            yield env.all_of(list(run.done_events.values()))
         phx.reduce_outputs = [
-            reduce_results[i] for i in range(phx.n_partitions)
+            outputs[n_maps + i] for i in range(phx.n_partitions)
         ]
         job.result = phx.merge()
-        metrics.operations = len(map_tasks) + len(reduce_tasks)
+        metrics.operations = n_maps + len(reduce_tasks)
         metrics.duration = env.now
 
     def make_replica_workers():
@@ -343,21 +310,17 @@ def _run_phoenix_impl(scenario, n_words: int, config: PipelineConfig, variant: s
 
     def coordinator():
         yield env.all_of(processes)
+        run.apps_done = True
         run.deadline = env.now * (1 + config.drain_grace_fraction)
-        for _ in validators:
-            log_store.put(_SENTINEL)
-        if validators:
-            yield env.all_of(validators)
+        if plane is not None:
+            yield from plane.drain()
 
     env.run(until=env.process(coordinator()))
-    if orthrus:
+    machines = [machine]
+    if plane is not None:
         metrics.detections = runtime.detections
+        plane.finish(result)
+    if replica_runtime is not None:
+        machines.append(replica_runtime.machine)
     result.rbv_detections = rbv_detections[0]
-    result.responses = [job.result]
-    result.digest = job.state_digest() if not result.crashed else None
-    if prof.enabled:
-        machines = [machine]
-        if replica_runtime is not None:
-            machines.append(replica_runtime.machine)
-        _finish_profile(prof, env, machines)
-    return result
+    return _finish(result, env, [job.result], job, machines)

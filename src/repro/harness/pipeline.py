@@ -141,8 +141,6 @@ class PipelineConfig:
     #: no app registers would be waited on forever)
     sampler_targets: tuple = ()
     seed: int = 1
-    rbv_batch_size: int | None = None
-    rbv_state_check_every: int = 64
 
     def make_sampler(self):
         if self.sampler is not None:
@@ -197,6 +195,12 @@ class RunResult:
             return self.runtime.detections
         return self.rbv_detections
 
+    def fail(self, exc: BaseException, where: str = "") -> "RunResult":
+        """Mark the run crashed (fail-stop) by ``exc``."""
+        self.crashed = True
+        self.crash_reason = f"{where}{type(exc).__name__}: {exc}"
+        return self
+
 
 def _with_profiler(config: PipelineConfig, label: str, body: Callable[[], RunResult]):
     """Run a driver body under the configured self-profiler.
@@ -227,12 +231,60 @@ def _with_profiler(config: PipelineConfig, label: str, body: Callable[[], RunRes
     return result
 
 
-def _finish_profile(prof, env: Environment, machines) -> None:
-    """Fold the run's throughput counters into the active profiler."""
-    prof.add_events(env.events_processed)
-    prof.add_instructions(
-        sum(core.instructions for machine in machines for core in machine.cores)
+def _runtime(env, machine, config, orthrus: bool, validation_cores,
+             reclaim_batch: int) -> OrthrusRuntime:
+    """One deployment's runtime on ``machine``: the Orthrus one checksums,
+    holds versions for validation and reports to ``config.obs``; the
+    vanilla and RBV ones do neither."""
+    return OrthrusRuntime(
+        machine=machine,
+        app_cores=list(range(config.app_threads)),
+        validation_cores=validation_cores,
+        clock=SimClock(env),
+        mode="external",
+        checksums=orthrus,
+        hold_versions=orthrus,
+        reclaim_batch=reclaim_batch,
+        obs=config.obs if orthrus else None,
     )
+
+
+def _setup(scenario, server, runtime=None) -> RunResult | None:
+    """Run the scenario's pre-load; a failure becomes the run's crash
+    result, None means the server is ready."""
+    try:
+        scenario.setup(server)
+    except Exception as exc:
+        return RunResult(metrics=RunMetrics(), runtime=runtime).fail(exc, "setup: ")
+    return None
+
+
+def _serve(runtime, server, op, core, costs: CostModel):
+    """Handle one request on ``core``: ``(response, error, cycles)``, where
+    ``cycles`` is what the request executed plus the control path."""
+    before = core.total_cycles
+    response = error = None
+    with runtime.bind_core(core.core_id):
+        try:
+            response = server.handle(op)
+        except Exception as exc:
+            error = exc
+    return response, error, core.total_cycles - before + costs.control_path_cycles
+
+
+def _finish(result: RunResult, env: Environment, responses, server,
+            machines) -> RunResult:
+    """Close a run: its responses, the state digest (None after a crash),
+    and the run's throughput counters folded into the active profiler."""
+    result.responses = responses
+    result.digest = server.state_digest() if not result.crashed else None
+    prof = active()
+    if prof.enabled:
+        prof.add_events(env.events_processed)
+        prof.add_instructions(
+            sum(core.instructions for machine in machines for core in machine.cores)
+        )
+    return result
 
 
 def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
@@ -248,13 +300,13 @@ def _orthrus_overhead_cycles(log: ClosureLog, costs: CostModel) -> float:
     return cycles
 
 
-def _profiled_environment():
+def _profiled_environment() -> Environment:
     """A fresh engine that reports to the active self-profiler, if any."""
     prof = active()
     env = Environment()
     if prof.enabled:
         env.profiler = prof
-    return prof, env
+    return env
 
 
 def _track_memory(prof, metrics: RunMetrics, heap, server, pending_bytes=0) -> None:
@@ -424,116 +476,6 @@ class OrthrusRun:
         )
 
 
-def validator_process(
-    run: OrthrusRun, core, log_store: Store, on_step: Callable[[], None] = lambda: None
-):
-    """One shared-store validation core: dequeue → sample → re-execute (§3.3).
-
-    Shared between :class:`SharedStorePlane` and the Phoenix driver.  Ends
-    when it dequeues the shutdown sentinel.  Logs dequeued past
-    ``run.deadline`` (the end of the timely-detection window) are skipped
-    unvalidated.  The verdict comes first and the core then stays busy
-    for its cost.
-    """
-    env, runtime, metrics, obs = run.env, run.runtime, run.metrics, run.obs
-    release = run.release
-    drift, exposure, stale_s = run.drift, run.exposure, run.stale_s
-    costs = run.config.costs
-    while True:
-        log = yield log_store.get()
-        if log is _SENTINEL:
-            return
-        run.pending_bytes -= log.approx_bytes()
-        now = env.now
-        if now > run.deadline:
-            if obs.enabled:
-                obs.registry.counter(
-                    "orthrus_deadline_drops_total",
-                    help="logs dropped past the timely-detection window",
-                ).inc()
-                obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
-                obs.spans.record(
-                    "drop", log.seq, now, now,
-                    closure=log.closure_name, reason="deadline",
-                )
-            runtime.validator.skip(log)
-            metrics.skipped += 1
-            if exposure is not None:
-                exposure.record(
-                    log.closure_name,
-                    "deadline",
-                    (now - log.enqueue_time) + stale_s,
-                )
-            release(log)
-            continue
-        if is_canary_log(log):
-            # Canary probes bypass the sampler — a skipped canary proves
-            # nothing — and stay out of the run's coverage metrics.
-            outcome = runtime.validator.validate(log, core)
-            if drift is not None:
-                drift.verdict(core.core_id)
-            busy = run.validation_cycles(
-                core, log, outcome.val_cycles, log.approx_bytes()
-            )
-            yield env.timeout(costs.seconds(busy))
-            log.validated_time = env.now
-            if obs.enabled:
-                obs.spans.record(
-                    "queue.wait", log.seq, log.enqueue_time, now,
-                    closure=log.closure_name,
-                )
-                run.verdict_spans(log, now, core.core_id, outcome.passed)
-            release(log)
-            on_step()
-            continue
-        decision = run.decide(log, now)
-        if obs.enabled:
-            run.decision_metrics(log, now, decision)
-            obs.tracer.emit(
-                "sampler.decision",
-                ts=now,
-                closure=log.closure_name,
-                caller=log.caller,
-                seq=log.seq,
-                validate=decision.validate,
-                reason=decision.reason,
-                rate=getattr(run.sampler, "rate", 1.0),
-            )
-            obs.spans.record(
-                "queue.wait", log.seq, log.enqueue_time, now,
-                closure=log.closure_name,
-            )
-        if decision.validate:
-            output_bytes = run.output_bytes(log)
-            outcome = runtime.validator.validate(log, core)
-            if drift is not None:
-                drift.verdict(core.core_id)
-            if runtime.responder is not None:
-                runtime.responder.on_outcome(outcome)
-            busy = run.validation_cycles(core, log, outcome.val_cycles, output_bytes)
-            yield env.timeout(costs.seconds(busy))
-            log.validated_time = env.now
-            run.credit(log)
-            if obs.enabled:
-                run.verdict_spans(log, now, core.core_id, outcome.passed)
-        else:
-            runtime.validator.skip(log)
-            if exposure is not None:
-                exposure.record(log.closure_name, "sampled-out", stale_s)
-            if obs.enabled:
-                obs.spans.record(
-                    "skip", log.seq, now, now,
-                    closure=log.closure_name, reason=decision.reason,
-                )
-            yield env.timeout(costs.seconds(costs.skip_cycles))
-            metrics.skipped += 1
-        release(log)
-        on_step()
-
-
 # ----------------------------------------------------------------------
 # Vanilla
 # ----------------------------------------------------------------------
@@ -545,50 +487,31 @@ def run_vanilla_server(scenario, n_ops: int, config: PipelineConfig) -> RunResul
 
 
 def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof, env = _profiled_environment()
+    prof, env = active(), _profiled_environment()
     machine = config.build_machine()
-    app_cores = list(range(config.app_threads))
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=app_cores,
-        validation_cores=[config.app_threads],
-        clock=SimClock(env),
-        mode="external",
-        checksums=False,
-        hold_versions=False,
-    )
+    runtime = _runtime(env, machine, config, False, [config.app_threads], 64)
     server = scenario.build(runtime)
-    try:
-        scenario.setup(server)
-    except Exception as exc:
-        metrics = RunMetrics()
-        return RunResult(
-            metrics=metrics,
-            runtime=runtime,
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
+    crash = _setup(scenario, server, runtime)
+    if crash is not None:
+        return crash
     for core_id, fault in config.deferred_faults:
         machine.arm(core_id, fault)
     ops = scenario.make_ops(n_ops, config.seed)
+    costs = config.costs
     metrics = RunMetrics()
     result = RunResult(metrics=metrics, runtime=runtime)
-    responses_by_index: dict[int, Any] = {}
+    responses: list[Any] = [None] * len(ops)
 
     def app_thread(thread_id: int):
         core = machine.core(thread_id)
         for index in range(thread_id, len(ops), config.app_threads):
             began = env.now
-            before = core.total_cycles
-            with runtime.bind_core(thread_id):
-                try:
-                    responses_by_index[index] = server.handle(ops[index])
-                except Exception as exc:
-                    result.crashed = True
-                    result.crash_reason = f"{type(exc).__name__}: {exc}"
-                    return
-            cycles = core.total_cycles - before + config.costs.control_path_cycles
-            yield env.timeout(config.costs.seconds(cycles))
+            response, error, cycles = _serve(runtime, server, ops[index], core, costs)
+            if error is not None:
+                result.fail(error)
+                return
+            responses[index] = response
+            yield env.timeout(costs.seconds(cycles))
             metrics.request_latency.add(env.now - began)
             metrics.operations += 1
             _track_memory(prof, metrics, runtime.heap, server)
@@ -596,11 +519,7 @@ def _run_vanilla_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult
     threads = [env.process(app_thread(i)) for i in range(config.app_threads)]
     env.run(until=env.all_of(threads))
     metrics.duration = env.now
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
-    result.digest = server.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [machine])
-    return result
+    return _finish(result, env, responses, server, [machine])
 
 
 # ----------------------------------------------------------------------
@@ -659,9 +578,116 @@ class SharedStorePlane:
 
     def _spawn(self, core_id: int) -> None:
         run = self.run
-        self.validators.append(run.env.process(validator_process(
-            run, run.machine.core(core_id), self.store, on_step=run.track_memory
-        )))
+        self.validators.append(
+            run.env.process(self._validator(run.machine.core(core_id)))
+        )
+
+    def _validator(self, core):
+        """One validation core: dequeue → sample → re-execute (§3.3).
+
+        Ends when it dequeues the shutdown sentinel.  Logs dequeued past
+        ``run.deadline`` (the end of the timely-detection window) are skipped
+        unvalidated.  The verdict comes first and the core then stays busy
+        for its cost.
+        """
+        run, log_store = self.run, self.store
+        env, runtime, metrics, obs = run.env, run.runtime, run.metrics, run.obs
+        release, track_memory = run.release, run.track_memory
+        drift, exposure, stale_s = run.drift, run.exposure, run.stale_s
+        costs = run.config.costs
+        while True:
+            log = yield log_store.get()
+            if log is _SENTINEL:
+                return
+            run.pending_bytes -= log.approx_bytes()
+            now = env.now
+            if now > run.deadline:
+                if obs.enabled:
+                    obs.registry.counter(
+                        "orthrus_deadline_drops_total",
+                        help="logs dropped past the timely-detection window",
+                    ).inc()
+                    obs.spans.record(
+                        "queue.wait", log.seq, log.enqueue_time, now,
+                        closure=log.closure_name,
+                    )
+                    obs.spans.record(
+                        "drop", log.seq, now, now,
+                        closure=log.closure_name, reason="deadline",
+                    )
+                runtime.validator.skip(log)
+                metrics.skipped += 1
+                if exposure is not None:
+                    exposure.record(
+                        log.closure_name,
+                        "deadline",
+                        (now - log.enqueue_time) + stale_s,
+                    )
+                release(log)
+                continue
+            if is_canary_log(log):
+                # Canary probes bypass the sampler — a skipped canary proves
+                # nothing — and stay out of the run's coverage metrics.
+                outcome = runtime.validator.validate(log, core)
+                if drift is not None:
+                    drift.verdict(core.core_id)
+                busy = run.validation_cycles(
+                    core, log, outcome.val_cycles, log.approx_bytes()
+                )
+                yield env.timeout(costs.seconds(busy))
+                log.validated_time = env.now
+                if obs.enabled:
+                    obs.spans.record(
+                        "queue.wait", log.seq, log.enqueue_time, now,
+                        closure=log.closure_name,
+                    )
+                    run.verdict_spans(log, now, core.core_id, outcome.passed)
+                release(log)
+                track_memory()
+                continue
+            decision = run.decide(log, now)
+            if obs.enabled:
+                run.decision_metrics(log, now, decision)
+                obs.tracer.emit(
+                    "sampler.decision",
+                    ts=now,
+                    closure=log.closure_name,
+                    caller=log.caller,
+                    seq=log.seq,
+                    validate=decision.validate,
+                    reason=decision.reason,
+                    rate=getattr(run.sampler, "rate", 1.0),
+                )
+                obs.spans.record(
+                    "queue.wait", log.seq, log.enqueue_time, now,
+                    closure=log.closure_name,
+                )
+            if decision.validate:
+                output_bytes = run.output_bytes(log)
+                outcome = runtime.validator.validate(log, core)
+                if drift is not None:
+                    drift.verdict(core.core_id)
+                if runtime.responder is not None:
+                    runtime.responder.on_outcome(outcome)
+                busy = run.validation_cycles(core, log, outcome.val_cycles, output_bytes)
+                yield env.timeout(costs.seconds(busy))
+                log.validated_time = env.now
+                run.credit(log)
+                if obs.enabled:
+                    run.verdict_spans(log, now, core.core_id, outcome.passed)
+            else:
+                runtime.validator.skip(log)
+                if exposure is not None:
+                    exposure.record(log.closure_name, "sampled-out", stale_s)
+                if obs.enabled:
+                    obs.spans.record(
+                        "skip", log.seq, now, now,
+                        closure=log.closure_name, reason=decision.reason,
+                    )
+                yield env.timeout(costs.seconds(costs.skip_cycles))
+                metrics.skipped += 1
+            release(log)
+            track_memory()
 
     def start(self) -> None:
         run = self.run
@@ -697,21 +723,24 @@ class SharedStorePlane:
 
 
 def run_orthrus_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    """The Orthrus deployment: logging + asynchronous sampled validation.
+    """The Orthrus deployment: logging + asynchronous sampled validation,
+    on the validation plane :func:`validation_plane` selects."""
+    return _run_orthrus(scenario, n_ops, config)
+
+
+def validation_plane(config: PipelineConfig, plane=None):
+    """The validation plane class an Orthrus run uses, checked against
+    ``config``.
 
     ``fault_tolerance`` or ``validator_faults`` selects the fault-tolerant
-    validation plane (:mod:`repro.harness.chaos`); otherwise validators
-    drain the reliable shared store.
+    plane (:mod:`repro.harness.chaos`); otherwise validators drain the
+    reliable shared store.  ``plane`` overrides the choice.
     """
-    if config.fault_tolerance is None and config.validator_faults is None:
-        plane = SharedStorePlane
-    else:
-        from repro.harness.chaos import FaultTolerantPlane as plane
-    return _run_orthrus(scenario, n_ops, config, plane)
-
-
-def _run_orthrus(scenario, n_ops: int, config: PipelineConfig, plane) -> RunResult:
-    """Run the Orthrus deployment on the given validation plane class."""
+    if plane is None:
+        if config.fault_tolerance is None and config.validator_faults is None:
+            plane = SharedStorePlane
+        else:
+            from repro.harness.chaos import FaultTolerantPlane as plane
     if config.validation_cores < 1:
         raise ConfigurationError("Orthrus needs at least one validation core")
     if config.dynamic_scaling and plane is not SharedStorePlane:
@@ -719,6 +748,13 @@ def _run_orthrus(scenario, n_ops: int, config: PipelineConfig, plane) -> RunResu
             "dynamic_scaling needs the shared validation plane; the "
             "fault-tolerant plane runs every validation core from the start"
         )
+    return plane
+
+
+def _run_orthrus(scenario, n_ops: int, config: PipelineConfig,
+                 plane=None) -> RunResult:
+    """Run the Orthrus deployment on ``plane`` (default: the selected one)."""
+    plane = validation_plane(config, plane)
     return _with_profiler(
         config, plane.label,
         lambda: _run_orthrus_impl(scenario, n_ops, config, plane),
@@ -726,20 +762,10 @@ def _run_orthrus(scenario, n_ops: int, config: PipelineConfig, plane) -> RunResu
 
 
 def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
-    prof, env = _profiled_environment()
+    env = _profiled_environment()
     machine = config.build_machine()
-    app_cores = list(range(config.app_threads))
     val_cores = [config.app_threads + i for i in range(config.validation_cores)]
-    runtime = OrthrusRuntime(
-        machine=machine,
-        app_cores=app_cores,
-        validation_cores=val_cores,
-        clock=SimClock(env),
-        mode="external",
-        checksums=True,
-        reclaim_batch=config.reclaim_batch,
-        obs=config.obs,
-    )
+    runtime = _runtime(env, machine, config, True, val_cores, config.reclaim_batch)
     sampler = config.make_sampler()
     obs = runtime.obs
     responder = None
@@ -747,22 +773,17 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
         responder = ResponseCoordinator(runtime, config.response)
     server = scenario.build(runtime)
     runtime._hold_versions = False  # setup closures are not validated
-    try:
-        scenario.setup(server)
-    except Exception as exc:
-        return RunResult(
-            metrics=RunMetrics(),
-            runtime=runtime,
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
+    crash = _setup(scenario, server, runtime)
+    if crash is not None:
+        return crash
     runtime._hold_versions = True
     for core_id, fault in config.deferred_faults:
         machine.arm(core_id, fault)
     ops = scenario.make_ops(n_ops, config.seed)
+    costs = config.costs
     metrics = RunMetrics()
     result = RunResult(metrics=metrics, runtime=runtime)
-    responses_by_index: dict[int, Any] = {}
+    responses: list[Any] = [None] * len(ops)
     request_logs: list[ClosureLog] = []
     runtime._on_log = request_logs.append
 
@@ -815,19 +836,15 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
         submit = plane.submit
         for index in range(thread_id, len(ops), config.app_threads):
             began = env.now
-            before = core.total_cycles
-            with runtime.bind_core(thread_id):
-                try:
-                    responses_by_index[index] = server.handle(ops[index])
-                except Exception as exc:
-                    result.crashed = True
-                    result.crash_reason = f"{type(exc).__name__}: {exc}"
-                    return
+            response, error, cycles = _serve(runtime, server, ops[index], core, costs)
+            if error is not None:
+                result.fail(error)
+                return
+            responses[index] = response
             logs = list(request_logs)
             request_logs.clear()
-            cycles = core.total_cycles - before + config.costs.control_path_cycles
-            cycles += sum(_orthrus_overhead_cycles(log, config.costs) for log in logs)
-            yield env.timeout(config.costs.seconds(cycles))
+            cycles += sum(_orthrus_overhead_cycles(log, costs) for log in logs)
+            yield env.timeout(costs.seconds(cycles))
             hold: list[Any] = []
             for log in logs:
                 event = env.event()
@@ -922,7 +939,6 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
 
     env.run(until=env.process(coordinator()))
     metrics.detections = runtime.detections
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
     if canary_monitor is not None:
         # Settle overdue canaries before the final telemetry flush so the
         # last timeline sample sees every miss.
@@ -941,10 +957,7 @@ def _run_orthrus_impl(scenario, n_ops: int, config: PipelineConfig, plane_cls):
     if responder is not None and not result.crashed:
         result.incident = responder.finalize()
     plane.finish(result)
-    result.digest = server.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [machine])
-    return result
+    return _finish(result, env, responses, server, [machine])
 
 
 # ----------------------------------------------------------------------
@@ -964,44 +977,28 @@ def run_rbv_server(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
 
 
 def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
-    prof, env = _profiled_environment()
+    env = _profiled_environment()
     costs = config.costs
-    batch_size = config.rbv_batch_size or costs.rbv_batch_size
-
-    def build_instance(machine: Machine) -> tuple[OrthrusRuntime, Any]:
-        runtime = OrthrusRuntime(
-            machine=machine,
-            app_cores=list(range(config.app_threads)),
-            validation_cores=[config.app_threads],
-            clock=SimClock(env),
-            mode="external",
-            checksums=False,
-            hold_versions=False,
-        )
-        server = scenario.build(runtime)
-        scenario.setup(server)
-        return runtime, server
-
     primary_machine = config.build_machine()
     replica_machine = Machine(
         cores_per_node=config.app_threads + 1, numa_nodes=1, seed=config.seed + 7919
     )
-    try:
-        primary_runtime, primary = build_instance(primary_machine)
-        _, replica = build_instance(replica_machine)
-    except Exception as exc:
-        return RunResult(
-            metrics=RunMetrics(),
-            crashed=True,
-            crash_reason=f"setup: {type(exc).__name__}: {exc}",
-        )
+    instances = []
+    for machine in (primary_machine, replica_machine):
+        runtime = _runtime(env, machine, config, False, [config.app_threads], 64)
+        server = scenario.build(runtime)
+        crash = _setup(scenario, server)
+        if crash is not None:
+            return crash
+        instances.append((runtime, server))
+    (primary_runtime, primary), (replica_runtime, replica) = instances
     for core_id, fault in config.deferred_faults:
         primary_machine.arm(core_id, fault)
 
     ops = scenario.make_ops(n_ops, config.seed)
     metrics = RunMetrics()
     result = RunResult(metrics=metrics, runtime=None)
-    responses_by_index: dict[int, Any] = {}
+    responses: list[Any] = [None] * len(ops)
     repl_store = Store(env)
     inflight = [0]
     stall_events: list[Any] = []
@@ -1012,21 +1009,13 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
         for index in range(thread_id, len(ops), config.app_threads):
             began = env.now
             op = ops[index]
-            before = core.total_cycles
-            error: Exception | None = None
-            response: Any = None
-            with primary_runtime.bind_core(thread_id):
-                try:
-                    response = primary.handle(op)
-                except Exception as exc:
-                    error = exc
-            responses_by_index[index] = response
+            response, error, cycles = _serve(primary_runtime, primary, op, core, costs)
+            responses[index] = response
             payload = approx_size(response) + approx_size(op.value) + 64
             # Forward at execution time so the replica replays requests in
             # the primary's processing order (§4.1) — forwarding after the
             # service delay would let two primary threads reorder.
             repl_store.put((op, response, error, env.now, payload))
-            cycles = core.total_cycles - before + costs.control_path_cycles
             cycles += costs.rbv_primary_overhead_cycles
             cycles += costs.serialize_cycles_per_byte * payload
             yield env.timeout(costs.seconds(cycles))
@@ -1048,11 +1037,10 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
             # replication buffer.
             metrics.peak_versioned_bytes = max(
                 metrics.peak_versioned_bytes,
-                primary_runtime.heap.live_bytes + replica.runtime.heap.live_bytes,
+                primary_runtime.heap.live_bytes + replica_runtime.heap.live_bytes,
             )
             if error is not None:
-                result.crashed = True
-                result.crash_reason = f"{type(error).__name__}: {error}"
+                result.fail(error)
                 return
 
     def replica_process():
@@ -1066,7 +1054,7 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
                 return
             batch = [first]
             stop = False
-            while len(batch) < batch_size and len(repl_store):
+            while len(batch) < costs.rbv_batch_size and len(repl_store):
                 item = yield repl_store.get()
                 if item is _SENTINEL:
                     stop = True
@@ -1075,15 +1063,9 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
             total_bytes = sum(item[4] for item in batch)
             yield env.timeout(costs.network_transfer_s(total_bytes))
             for op, primary_response, primary_error, completed_at, _ in batch:
-                before = replica_core.total_cycles
-                replica_error: Exception | None = None
-                replica_response: Any = None
-                with replica.runtime.bind_core(0):
-                    try:
-                        replica_response = replica.handle(op)
-                    except Exception as exc:
-                        replica_error = exc
-                cycles = replica_core.total_cycles - before + costs.control_path_cycles
+                replica_response, replica_error, cycles = _serve(
+                    replica_runtime, replica, op, replica_core, costs
+                )
                 yield env.timeout(costs.seconds(cycles))
                 diverged = (
                     type(primary_error) is not type(replica_error)
@@ -1114,8 +1096,4 @@ def _run_rbv_impl(scenario, n_ops: int, config: PipelineConfig) -> RunResult:
     env.run(until=env.process(coordinator()))
     metrics.detections = detections[0]
     result.rbv_detections = detections[0]
-    result.responses = [responses_by_index.get(i) for i in range(len(ops))]
-    result.digest = primary.state_digest() if not result.crashed else None
-    if prof.enabled:
-        _finish_profile(prof, env, [primary_machine, replica_machine])
-    return result
+    return _finish(result, env, responses, primary, [primary_machine, replica_machine])

@@ -1,18 +1,20 @@
-"""Refactor gate: the Orthrus driver's virtual-time output is pinned.
+"""Refactor gate: the drivers' virtual-time output is pinned.
 
-Every case below runs one Orthrus deployment and reduces it to a
+Every case below runs one deployment and reduces it to a
 fingerprint: the state digest, a hash of the responses, the ``RunMetrics``
 summary fields, the DES events and machine instructions the run
 executed, and hashes of everything the run reports (fault-tolerance
 summary, canary, audit, incident, SLO verdicts, span export, trace events,
 metrics snapshot and timeline).  ``tests/fixtures/driver_parity.json``
-holds the fingerprints recorded before the two Orthrus drivers became one
-driver with two validation planes; a refactor of the driver must
-reproduce them exactly.  The cases cover both planes and what
+holds the fingerprints each case had before the refactor that added it
+(two Orthrus drivers becoming one; every driver moving onto shared
+helpers and Phoenix onto the validation plane); a refactor of the drivers
+must reproduce them exactly.  The cases cover both planes and what
 ``perfbench/golden.json`` does not: safe mode, dynamic scaling, the
-memory-budget trigger, full telemetry on the shared plane, Phoenix, and
-the fault-tolerant plane's crash, hang, quarantine, overload and
-total-death paths.
+memory-budget trigger, full telemetry on the shared plane, the
+fault-tolerant plane's crash, hang, quarantine, overload and total-death
+paths, vanilla and RBV, an app crash under each server deployment, and
+the Phoenix job under every variant.
 
 To print the current fingerprints as fixture JSON::
 
@@ -32,7 +34,12 @@ import pytest
 from repro.faultinject.validator_faults import ValidatorChaosConfig
 from repro.harness.chaos import run_chaos_server
 from repro.harness.phoenix import run_phoenix
-from repro.harness.pipeline import PipelineConfig, run_orthrus_server
+from repro.harness.pipeline import (
+    PipelineConfig,
+    run_orthrus_server,
+    run_rbv_server,
+    run_vanilla_server,
+)
 from repro.harness.scenarios import (
     lsmtree_scenario,
     masstree_scenario,
@@ -40,6 +47,9 @@ from repro.harness.scenarios import (
     phoenix_scenario,
 )
 from repro.machine.cpu import Machine
+from repro.machine.faults import Fault, FaultKind
+from repro.machine.instruction import Site
+from repro.machine.units import Unit
 from repro.obs import CanaryConfig, Observability, TimeSeriesConfig
 from repro.response import ResponseConfig
 from repro.runtime.degradation import DegradationConfig, FaultToleranceConfig
@@ -133,13 +143,49 @@ def _telemetry() -> dict:
     )
 
 
-def _orthrus(scenario, n_ops, config):
-    # the config is built per run: samplers and Observability carry state
-    return lambda: run_orthrus_server(scenario(), n_ops, config())
+def _driver(runner):
+    def case(scenario, n_ops, config):
+        # the config is built per run: samplers and Observability carry state
+        return lambda: runner(scenario(), n_ops, config())
+
+    return case
 
 
-def _chaos(scenario, n_ops, config):
-    return lambda: run_chaos_server(scenario(), n_ops, config())
+_orthrus = _driver(run_orthrus_server)
+_chaos = _driver(run_chaos_server)
+_vanilla = _driver(run_vanilla_server)
+_rbv = _driver(run_rbv_server)
+
+
+def _kv_crash() -> PipelineConfig:
+    # flips the dispatch comparison: the app fails on a served request
+    return PipelineConfig(
+        seed=2,
+        deferred_faults=((0, Fault(
+            unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=0,
+            site=Site("mc.control.dispatch", "eq", 1),
+        )),),
+    )
+
+
+def _phoenix(variant, n_words=3200, **config):
+    def run():
+        return run_phoenix(
+            phoenix_scenario(words_per_chunk=800, vocabulary_size=100),
+            n_words,
+            PipelineConfig(app_threads=4, seed=2, **config),
+            variant=variant,
+        )
+
+    return run
+
+
+def _phoenix_crash() -> tuple:
+    # corrupts a map task's partition index into an unusable value
+    return ((0, Fault(
+        unit=Unit.ALU, kind=FaultKind.BITFLIP, bit=62,
+        site=Site("phx.map_task", "mod", 0),
+    )),)
 
 
 def _crash_hang() -> PipelineConfig:
@@ -249,12 +295,7 @@ CASES = {
     "shared-telemetry": _orthrus(
         memcached_scenario, 1500, lambda: PipelineConfig(seed=5, **_telemetry())
     ),
-    "shared-phoenix": lambda: run_phoenix(
-        phoenix_scenario(words_per_chunk=800, vocabulary_size=100),
-        3200,
-        PipelineConfig(app_threads=4, seed=2),
-        variant="orthrus",
-    ),
+    "shared-phoenix": _phoenix("orthrus"),
     # -- fault-tolerant plane -----------------------------------------
     "ft-clean": _orthrus(
         memcached_scenario, 200,
@@ -274,6 +315,22 @@ CASES = {
     ),
     "ft-safe-mode-slowdown": _orthrus(memcached_scenario, 300, _safe_mode_slowdown),
     "ft-kv-observed": _chaos(memcached_scenario, 2000, _kv_observed),
+    # -- vanilla and RBV, and app crashes under each deployment -------
+    "vanilla-memcached": _vanilla(
+        memcached_scenario, 300, lambda: PipelineConfig(seed=1)
+    ),
+    "vanilla-lsmtree": _vanilla(lsmtree_scenario, 200, lambda: PipelineConfig(seed=1)),
+    "rbv-memcached": _rbv(memcached_scenario, 300, lambda: PipelineConfig(seed=1)),
+    "rbv-lsmtree": _rbv(lsmtree_scenario, 200, lambda: PipelineConfig(seed=1)),
+    "vanilla-crash": _vanilla(lambda: memcached_scenario(n_keys=40), 150, _kv_crash),
+    "shared-crash": _orthrus(lambda: memcached_scenario(n_keys=40), 150, _kv_crash),
+    "rbv-crash": _rbv(lambda: memcached_scenario(n_keys=40), 150, _kv_crash),
+    "phoenix-vanilla": _phoenix("vanilla"),
+    "phoenix-rbv": _phoenix("rbv"),
+    "phoenix-crash": _phoenix(
+        "orthrus", n_words=6400, deferred_faults=_phoenix_crash()
+    ),
+    "shared-phoenix-12000": _phoenix("orthrus", n_words=12000, validation_cores=2),
 }
 
 

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.faultinject.validator_faults import ValidatorChaosConfig
 from repro.harness.phoenix import run_phoenix
 from repro.harness.pipeline import PipelineConfig
 from repro.harness.scenarios import phoenix_scenario
 from repro.machine.faults import Fault, FaultKind
 from repro.machine.units import Unit
+from repro.obs import Observability
+from repro.obs.latency import attribute
+from repro.runtime.degradation import FaultToleranceConfig
 from repro.workloads.wordcount import WordCountCorpus
 
 N_WORDS = 6400
@@ -85,3 +90,78 @@ class TestFaults:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             run_phoenix(phoenix_scenario(), 100, PipelineConfig(), variant="hybrid")
+
+
+def _plane_run(**config):
+    """The Orthrus job on 4 app threads x 2 validation cores, 3200 words."""
+    return run_phoenix(
+        phoenix_scenario(**SCEN_KW),
+        3200,
+        PipelineConfig(app_threads=4, validation_cores=2, seed=2, **config),
+        variant="orthrus",
+    )
+
+
+class TestValidationPlane:
+    """The Orthrus job runs on the same validation planes as the servers."""
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        return _plane_run()
+
+    def test_safe_mode_merge_waits_for_every_validation(self, shared):
+        safe = _plane_run(safe_mode=True)
+        logs = shared.metrics.validated + shared.metrics.skipped
+        assert shared.metrics.skipped > 0  # the drain window drops some
+        assert safe.metrics.validated == logs and safe.metrics.skipped == 0
+        assert safe.metrics.duration > shared.metrics.duration
+        assert safe.digest == shared.digest
+        assert safe.responses == shared.responses
+
+    def test_fault_tolerance_conserves_with_the_same_digest(self, shared):
+        result = _plane_run(fault_tolerance=FaultToleranceConfig())
+        assert shared.ft is None
+        assert result.ft is not None and result.ft.conserved
+        assert result.ft.ledger["enqueued"] == (
+            shared.metrics.validated + shared.metrics.skipped
+        )
+        assert result.digest == shared.digest
+
+    def test_crashed_validator_keeps_the_ledger_conserved(self, shared):
+        result = _plane_run(
+            validator_faults=ValidatorChaosConfig.parse(["crash=1"], seed=3)
+        )
+        assert result.ft.conserved
+        assert len(result.ft.faulted_cores["crash"]) == 1
+        assert result.digest == shared.digest
+
+    def test_dynamic_scaling_starts_with_one_validator(self):
+        def validating_cores(**config):
+            result = _plane_run(safe_mode=True, obs=Observability(), **config)
+            return {
+                span.args["core"]
+                for span in result.runtime.obs.spans if span.stage == "validate"
+            }
+
+        assert validating_cores() == {4, 5}
+        assert validating_cores(dynamic_scaling=True) == {4}
+
+    def test_spans_cover_every_log_and_reconcile(self):
+        result = _plane_run(obs=Observability())
+        obs = result.runtime.obs
+        runs = [span.seq for span in obs.spans if span.stage == "closure.run"]
+        logs = result.metrics.validated + result.metrics.skipped
+        assert len(runs) == len(set(runs)) == logs
+        assert sum(1 for e in obs.tracer if e.kind == "queue.push") == logs
+        assert attribute(obs.spans).reconciliation()["reconciled"]
+
+    @pytest.mark.parametrize("config", [
+        dict(validation_cores=0),
+        dict(dynamic_scaling=True, fault_tolerance=FaultToleranceConfig()),
+    ])
+    def test_orthrus_config_checks_apply(self, config):
+        with pytest.raises(ConfigurationError):
+            run_phoenix(
+                phoenix_scenario(**SCEN_KW), 3200, PipelineConfig(**config),
+                variant="orthrus",
+            )

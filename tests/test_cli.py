@@ -93,6 +93,31 @@ class TestOpsBoundary:
         assert "self-profile" in capsys.readouterr().out
 
 
+class TestConfigurationErrors:
+    """A structurally rejected config is one stderr line and FAILURE,
+    never a traceback."""
+
+    @pytest.mark.parametrize("command", ["perf", "latency"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--queue-capacity", "0"], "queue capacity must be >= 1"),
+        (["--watchdog-deadline", "-1"], "watchdog deadline must be positive"),
+        (["--threads", "0"], "at least one application core required"),
+        (["--cores", "0"], "Orthrus needs at least one validation core"),
+    ])
+    def test_rejected_config_exits_failure(self, command, flags, message, capsys):
+        from repro.errors import ExitCode
+
+        rc = main([command, "--app", "memcached", "--ops", "50", *flags])
+        assert rc == ExitCode.FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_phoenix_rejects_an_empty_validator_pool(self, capsys):
+        assert main(["perf", "--app", "phoenix", "--ops", "4000", "--cores", "0"]) == 1
+        assert "validation core" in capsys.readouterr().err
+
+
 class TestProfilePhoenix:
     def test_phoenix_profile_prints_self_profile(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
@@ -315,6 +340,21 @@ class TestFaultToleranceFlags:
         assert data["conserved"] is True
         assert data["terminal_level"] == "normal"
         assert data["watchdog"]["redispatches"] > 0
+
+    def test_phoenix_runs_the_fault_tolerant_plane(self, tmp_path, capsys):
+        report = tmp_path / "ft.json"
+        spans = tmp_path / "spans.json"
+        assert main([
+            "perf", "--app", "phoenix", "--ops", "4000", "--degradation",
+            "--ft-json", str(report), "--spans-out", str(spans),
+        ]) == 0
+        assert "(conserved)" in capsys.readouterr().out
+        data = json.loads(report.read_text())
+        assert data["conserved"] is True
+        assert data["ledger"]["enqueued"] > 0
+        assert main(["latency-attrib", str(spans)]) == 0
+        out = capsys.readouterr().out
+        assert "(reconciled)" in out and "closure.run" in out
 
     def test_bad_fault_spec_fails_before_the_run(self):
         with pytest.raises(SystemExit, match="unknown validator fault"):
